@@ -255,15 +255,17 @@ def embed_hypercube(g: Graph, d: DistanceMatrix | None = None
         if w_eq:
             raise ConsistencyError(
                 f"edge ({u}, {v}) has equidistant vertices in a bipartite graph")
-        for half, endpoint in ((w_uv, u), (w_vu, v)):
+        key = frozenset({frozenset(w_uv), frozenset(w_vu)})
+        if key in seen:
+            # An earlier edge had this split, so both halves already passed.
+            continue
+        for half in (w_uv, w_vu):
             verdict = is_convex(d, half)
             if verdict is not True:
                 return HypercubeCertificate(
                     NONCONVEX_HALFSPACE, edge=(u, v), half=half, witness=verdict)
-        key = frozenset({frozenset(w_uv), frozenset(w_vu)})
-        if key not in seen:
-            seen[key] = len(far_sides)
-            far_sides.append(frozenset(w_vu if 0 in w_uv else w_uv))
+        seen[key] = len(far_sides)
+        far_sides.append(frozenset(w_vu if 0 in w_uv else w_uv))
     labels = tuple(
         frozenset(i for i, far in enumerate(far_sides) if v in far)
         for v in range(g.n)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter, lt
 
 
 class GraphError(ValueError):
@@ -161,6 +162,11 @@ def parse_graph(data: bytes | str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise ParseError("empty input: missing vertex count")
+    if len(edges) < n - 1:
+        # Checked before Graph allocates n adjacency lists for a huge header.
+        raise ParseError(
+            f"graph is disconnected: {n} vertices need at least {n - 1} edges, "
+            f"got {len(edges)}")
     try:
         return Graph(n, edges)
     except ParseError:
@@ -213,13 +219,33 @@ class ConvexityWitness:
 def is_convex(d: DistanceMatrix, s) -> "bool | ConvexityWitness":
     """True if s contains every interval between its members.
 
-    On failure returns the lexicographically smallest witness (x, y, z).
+    The verdict comes from the boundary edges alone: s is convex iff no
+    member y has an outside neighbour z with d(x, z) < d(x, y) for some
+    member x.  (Walk a geodesic from y back to x; the first vertex that
+    leaves s and the member just before it form such a pair.)  That costs
+    O(|s|·|V∖s| + cut·|s|).
+
+    On failure the exhaustive search over member pairs and outside vertices
+    returns the lexicographically smallest witness (x, y, z).
     """
     members = sorted(set(s))
+    if len(members) < 2:
+        return True
     inside = [False] * d.n
     for x in members:
         inside[x] = True
     outside = [z for z in range(d.n) if not inside[z]]
+    rows = d.rows
+    at_members = itemgetter(*members)
+    for y in members:
+        dy = rows[y]
+        cut = [z for z in outside if dy[z] == 1]
+        if cut:
+            dy_members = at_members(dy)
+            if any(any(map(lt, at_members(rows[z]), dy_members)) for z in cut):
+                break
+    else:
+        return True
     for i, x in enumerate(members):
         for y in members[i + 1:]:
             dxy = d[x][y]

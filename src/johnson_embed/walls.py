@@ -6,6 +6,10 @@ the equidistant remainder to induce at most two components and both ways of
 attaching those components to the strict sides to yield complementary convex
 halfspaces.  A graph passing the condition gets a WallSystem: the per-edge
 data plus the deduplicated walls with multiplicities.
+
+Edges of one Θ class share their split, so the same halves come back edge
+after edge.  Each check_wc and check_wc_all call keeps one convexity verdict
+per distinct half and tests every half once.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ def w_sets(d: DistanceMatrix, u: int, v: int):
     w_uv = []
     w_vu = []
     w_eq = []
-    for x in range(d.n):
-        dxu, dxv = d[x][u], d[x][v]
+    # Distances are symmetric, so rows u and v give d(x, u) and d(x, v).
+    for x, (dxu, dxv) in enumerate(zip(d[u], d[v])):
         if dxu < dxv:
             w_uv.append(x)
         elif dxv < dxu:
@@ -99,10 +103,13 @@ def check_wc_edge(g: Graph, d: DistanceMatrix, edge) -> "tuple[Wall, Wall] | WcC
     checked in the order PRIME neg, PRIME pos, DOUBLE_PRIME neg,
     DOUBLE_PRIME pos).
     """
-    return _walls_from_splits(d, splits(g, d, edge))
+    return _walls_from_splits(d, splits(g, d, edge), {})
 
 
-def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls) -> "tuple[Wall, Wall] | WcCertificate":
+def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls,
+                       verdicts: "dict[tuple[int, ...], bool | ConvexityWitness]"
+                       ) -> "tuple[Wall, Wall] | WcCertificate":
+    # verdicts holds the is_convex result of every half already tested in this scan.
     comps = ew.eq_components
     if len(comps) > 2:
         return WcCertificate(TOO_MANY_COMPONENTS, ew.edge,
@@ -113,7 +120,9 @@ def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls) -> "tuple[Wall, Wall] |
     double = Wall(_merge(ew.w_uv, eq2), _merge(ew.w_vu, eq1), ew.edge, DOUBLE_PRIME)
     for wall in (prime, double):
         for half in (wall.neg, wall.pos):
-            verdict = is_convex(d, half)
+            verdict = verdicts.get(half)
+            if verdict is None:
+                verdict = verdicts[half] = is_convex(d, half)
             if verdict is not True:
                 return WcCertificate(NONCONVEX_HALFSPACE, ew.edge, half=half,
                                      variant=wall.variant, witness=verdict)
@@ -165,9 +174,10 @@ def check_wc(g: Graph, d: DistanceMatrix) -> "WallSystem | WcCertificate":
     wall_pairs: list[tuple[Wall, Wall]] = []
     per_key: dict[frozenset[frozenset[int]], int] = {}
     order: list[frozenset[frozenset[int]]] = []
+    verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     for edge in g.edges:
         ew = splits(g, d, edge)
-        result = _walls_from_splits(d, ew)
+        result = _walls_from_splits(d, ew, verdicts)
         if isinstance(result, WcCertificate):
             return result
         prime, double = result
@@ -192,8 +202,9 @@ def check_wc(g: Graph, d: DistanceMatrix) -> "WallSystem | WcCertificate":
 def check_wc_all(g: Graph, d: DistanceMatrix) -> list[WcCertificate]:
     """Exhaustive variant: certificates for every failing edge (empty if none)."""
     certs = []
+    verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     for edge in g.edges:
-        result = check_wc_edge(g, d, edge)
+        result = _walls_from_splits(d, splits(g, d, edge), verdicts)
         if isinstance(result, WcCertificate):
             certs.append(result)
     return certs

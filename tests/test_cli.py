@@ -3,7 +3,7 @@ import json
 import pytest
 
 from johnson_embed.cli import format_edge_list, main, parse_labels
-from johnson_embed import cycle_graph
+from johnson_embed import cycle_graph, graphs
 
 
 @pytest.fixture
@@ -100,6 +100,20 @@ def test_embed_malformed_file(tmp_path, capsys):
     assert main(["embed", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "disconnected" in err
+
+
+def test_embed_huge_vertex_count_fails_before_allocating(tmp_path, capsys, monkeypatch):
+    real_graph = graphs.Graph
+
+    def bounded_graph(n, *args, **kwargs):
+        assert n <= 10**6, f"Graph would allocate {n} adjacency lists"
+        return real_graph(n, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "Graph", bounded_graph)
+    huge = tmp_path / "huge.txt"
+    huge.write_text("10000000000\n", encoding="utf-8")
+    assert main(["embed", str(huge)]) == 2
+    assert "disconnected" in capsys.readouterr().err
 
 
 def test_check_wc(c5, k23, capsys):
