@@ -108,13 +108,13 @@ def bfs_tree(g: Graph, b: int) -> tuple[int | None, ...]:
     The parent of v is its smallest neighbor one step closer to b;
     parent[b] is None.
     """
-    d = g.distances()
+    db = g.distances()[b]
     parents: list[int | None] = []
     for v in range(g.n):
         if v == b:
             parents.append(None)
             continue
-        parents.append(min(w for w in g.neighbors[v] if d[b][w] == d[b][v] - 1))
+        parents.append(min(w for w in g.neighbors[v] if db[w] == db[v] - 1))
     return tuple(parents)
 
 
@@ -202,17 +202,42 @@ def verify_embedding(d: DistanceMatrix, labels) -> "bool | IsometryWitness":
     unequal sizes raise ValueError.  Returns True or the first witness in
     lexicographic pair order.
     """
-    sets = [frozenset(lab) for lab in labels]
-    if len(sets) != d.n:
-        raise ValueError(f"expected {d.n} labels, got {len(sets)}")
-    if len({len(s) for s in sets}) > 1:
+    masks = _bitmasks(labels)
+    if len(masks) != d.n:
+        raise ValueError(f"expected {d.n} labels, got {len(masks)}")
+    if len({mask.bit_count() for mask in masks}) > 1:
         raise ValueError("labels must all have the same size")
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            diff = len(sets[x] ^ sets[y])
-            if diff != 2 * d[x][y]:
-                return IsometryWitness(x, y, diff, 2 * d[x][y])
-    return True
+    mismatch = _first_mismatch(d, masks, 2)
+    if mismatch is None:
+        return True
+    x, y, diff = mismatch
+    return IsometryWitness(x, y, diff, 2 * d[x][y])
+
+
+def _bitmasks(labels) -> list[int]:
+    """Each label as an int bitmask, elements numbered in order of first appearance."""
+    bit: dict = {}
+    masks = []
+    for lab in labels:
+        mask = 0
+        for e in lab:
+            mask |= 1 << bit.setdefault(e, len(bit))
+        masks.append(mask)
+    return masks
+
+
+def _first_mismatch(d: DistanceMatrix, masks: list[int], scale: int
+                    ) -> "tuple[int, int, int] | None":
+    """First pair x < y, in lexicographic order, whose masks differ in other
+    than scale * d(x, y) bits, as (x, y, bits differing); None if none does."""
+    for x, bx in enumerate(masks):
+        diffs = list(map(int.bit_count, map(bx.__xor__, masks[x + 1:])))
+        expected = [scale * dxy for dxy in d[x][x + 1:]]
+        if diffs != expected:
+            for i, (diff, want) in enumerate(zip(diffs, expected)):
+                if diff != want:
+                    return x, x + 1 + i, diff
+    return None
 
 
 @dataclass(frozen=True)
@@ -270,9 +295,8 @@ def embed_hypercube(g: Graph, d: DistanceMatrix | None = None
         frozenset(i for i, far in enumerate(far_sides) if v in far)
         for v in range(g.n)
     )
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if len(labels[x] ^ labels[y]) != d[x][y]:
-                raise ConsistencyError(
-                    f"hypercube labeling failed verification at ({x}, {y})")
+    mismatch = _first_mismatch(d, _bitmasks(labels), 1)
+    if mismatch is not None:
+        x, y, _ = mismatch
+        raise ConsistencyError(f"hypercube labeling failed verification at ({x}, {y})")
     return HypercubeEmbedding(len(far_sides), labels)

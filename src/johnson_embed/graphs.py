@@ -2,8 +2,10 @@
 
 Every other module works on the two value types defined here.  A Graph is a
 finite simple undirected graph on vertices 0..n-1, immutable after
-construction.  A DistanceMatrix holds all-pairs shortest-path hop distances
-and is computed once per graph and shared.
+construction.  A DistanceMatrix holds shortest-path hop distances; each row
+is computed by one BFS the first time it is read and then kept, so a scan
+that stops early pays only for the rows it read.  One matrix per graph is
+shared by every stage.
 
 Graphs read from user input must be connected.  Internally constructed
 graphs (class adjacency graphs, neighborhood subgraphs, reconstructed roots)
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import itemgetter, lt
 
 
@@ -94,7 +96,7 @@ class Graph:
         return len(self.neighbors[v])
 
     def distances(self) -> "DistanceMatrix":
-        """All-pairs hop distances, computed once and cached."""
+        """Hop distances, one matrix per graph whose rows fill on first read."""
         if self._dist is None:
             self._dist = distance_matrix(self)
         return self._dist
@@ -103,18 +105,48 @@ class Graph:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs shortest-path distances; rows[u][v] is the hop distance."""
+class DistanceMatrix(dict):
+    """Shortest-path hop distances of a connected graph: d[u][v] is d(u, v).
 
-    rows: tuple[tuple[int, ...], ...]
+    A dict from vertex to its distance row.  Row u is computed by one
+    level-synchronous BFS the first time d[u] is read and kept, so later
+    reads are plain dict lookups.  Reading a vertex outside 0..n-1 raises
+    IndexError; a row that leaves some vertex unreached raises GraphError.
+    """
 
-    def __getitem__(self, u: int) -> tuple[int, ...]:
-        return self.rows[u]
+    __slots__ = ("n", "_neighbors")
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.n = g.n
+        self._neighbors = g.neighbors
+
+    def __missing__(self, s: int) -> tuple[int, ...]:
+        if not 0 <= s < self.n:
+            raise IndexError(f"vertex {s} out of range 0..{self.n - 1}")
+        neighbors = self._neighbors
+        dist = [-1] * self.n
+        dist[s] = 0
+        frontier = [s]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for w in neighbors[u]:
+                    if dist[w] < 0:
+                        dist[w] = level
+                        nxt.append(w)
+            frontier = nxt
+        if -1 in dist:
+            raise GraphError("distance matrix requires a connected graph")
+        row = self[s] = tuple(dist)
+        return row
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every row in vertex order, computing those not read yet."""
+        return tuple(self[u] for u in range(self.n))
 
 
 def parse_graph(data: bytes | str) -> Graph:
@@ -183,28 +215,23 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; requires a connected graph."""
-    rows = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if any(x < 0 for x in dist):
-            raise GraphError("distance matrix requires a connected graph")
-        rows.append(tuple(dist))
-    return DistanceMatrix(tuple(rows))
+    """Distances of g, row by row on first read; requires a connected graph.
+
+    Row 0 is read here: on a disconnected graph every row fails, so the
+    error surfaces now rather than at some later read.
+    """
+    d = DistanceMatrix(g)
+    if g.n:
+        d[0]
+    return d
 
 
 def interval(d: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
     """Vertices on shortest u-v paths: d(u,x) + d(x,v) = d(u,v)."""
-    duv = d[u][v]
-    return tuple(x for x in range(d.n) if d[u][x] + d[x][v] == duv)
+    # Distances are symmetric, so rows u and v give d(u, x) and d(x, v).
+    du, dv = d[u], d[v]
+    duv = du[v]
+    return tuple(x for x, (dux, dxv) in enumerate(zip(du, dv)) if dux + dxv == duv)
 
 
 @dataclass(frozen=True)
@@ -235,14 +262,13 @@ def is_convex(d: DistanceMatrix, s) -> "bool | ConvexityWitness":
     for x in members:
         inside[x] = True
     outside = [z for z in range(d.n) if not inside[z]]
-    rows = d.rows
     at_members = itemgetter(*members)
     for y in members:
-        dy = rows[y]
+        dy = d[y]
         cut = [z for z in outside if dy[z] == 1]
         if cut:
             dy_members = at_members(dy)
-            if any(any(map(lt, at_members(rows[z]), dy_members)) for z in cut):
+            if any(any(map(lt, at_members(d[z]), dy_members)) for z in cut):
                 break
     else:
         return True
@@ -356,39 +382,28 @@ SQUARE = "SQUARE"
 PYRAMID = "PYRAMID"
 OCTAHEDRON = "OCTAHEDRON"
 
-_PATTERNS: dict[str, tuple[int, frozenset[tuple[int, int]]]] = {
+# Sorted degree sequences.  Each one fixes its pattern: the only 2-regular
+# graph on 4 vertices is the 4-cycle, and in the other two the complement is
+# a matching (plus an isolated apex for the pyramid).
+_PATTERNS: dict[str, tuple[int, ...]] = {
     # 4-cycle
-    SQUARE: (4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})),
+    SQUARE: (2, 2, 2, 2),
     # 4-cycle plus an apex adjacent to all of it
-    PYRAMID: (5, frozenset({(0, 1), (1, 2), (2, 3), (0, 3),
-                            (0, 4), (1, 4), (2, 4), (3, 4)})),
-    # complete tripartite K_{2,2,2}: i and i+3 are the only non-edges
-    OCTAHEDRON: (6, frozenset(
-        (a, b) for a, b in combinations(range(6), 2) if b - a != 3
-    )),
+    PYRAMID: (3, 3, 3, 3, 4),
+    # complete tripartite K_{2,2,2}
+    OCTAHEDRON: (4, 4, 4, 4, 4, 4),
 }
 
 
 def induced_is_pattern(g: Graph, s, pattern: str) -> bool:
-    """Exhaustively test whether s induces the named fixed pattern."""
+    """Test whether s induces the named fixed pattern, by its degree sequence."""
     if pattern not in _PATTERNS:
         raise ValueError(f"unknown pattern: {pattern!r}")
-    size, target = _PATTERNS[pattern]
-    verts = sorted(set(s))
-    if len(verts) != size:
+    degrees = _PATTERNS[pattern]
+    inside = set(s)
+    if len(inside) != len(degrees):
         return False
-    induced = {
-        (i, j)
-        for i, j in combinations(range(size), 2)
-        if g.has_edge(verts[i], verts[j])
-    }
-    if len(induced) != len(target):
-        return False
-    for perm in permutations(range(size)):
-        mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in induced}
-        if mapped == target:
-            return True
-    return False
+    return tuple(sorted(len(inside.intersection(g.neighbors[v])) for v in inside)) == degrees
 
 
 def induced_subgraph(g: Graph, verts) -> tuple[Graph, tuple[int, ...]]:

@@ -99,9 +99,10 @@ def squares(g: Graph, *, induced_only: bool = True):
 def check_pc(g: Graph, d: DistanceMatrix, *, induced_only: bool = True) -> ConditionReport:
     """Opposite corners of every square must have equal distance sums to every vertex."""
     for sq in squares(g, induced_only=induced_only):
-        u1, u2, u3, u4 = sq
+        # Distances are symmetric: the corners' rows give every d(b, corner).
+        r1, r2, r3, r4 = (d[u] for u in sq)
         for b in range(g.n):
-            if d[b][u1] + d[b][u3] != d[b][u2] + d[b][u4]:
+            if r1[b] + r3[b] != r2[b] + r4[b]:
                 return ConditionReport("PC", False, PcWitness(b, sq))
     return ConditionReport("PC", True)
 

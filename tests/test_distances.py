@@ -1,0 +1,87 @@
+"""Distance rows computed on first read, against a reference BFS."""
+
+from collections import deque
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from johnson_embed import (
+    Graph,
+    GraphError,
+    RejectionCertificate,
+    build_embedding,
+    distance_matrix,
+)
+from johnson_embed.walls import TOO_MANY_COMPONENTS
+
+
+def reference_rows(g):
+    """All-pairs distances by one queue-based BFS per vertex."""
+    rows = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def test_first_edge_rejection_reads_only_its_rows():
+    # K_{1,1,3} with apexes 0 and 1, and a 40-vertex path hung off apex 0.
+    # Edge (0, 1) has the three other vertices of K_{1,1,3} as isolated
+    # equidistant components, so the scan stops at the first edge.
+    edges = [(0, 1)] + [(a, v) for a in (0, 1) for v in (2, 3, 4)]
+    edges += [(0, 5)] + [(v, v + 1) for v in range(5, 44)]
+    g = Graph(45, edges)
+    result = build_embedding(g)
+    assert isinstance(result, RejectionCertificate)
+    assert result.payload.kind == TOO_MANY_COMPONENTS
+    assert result.payload.edge == (0, 1)
+    assert len(g.distances()) == 2
+
+
+@st.composite
+def graph_and_reads(draw):
+    n = draw(st.integers(1, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(combinations(range(n), 2))
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(n, sorted(set(tree) | extra))
+    return g, draw(st.lists(st.integers(0, n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_reads())
+def test_rows_read_in_any_order_match_reference(case):
+    g, reads = case
+    want = reference_rows(g)
+    d = distance_matrix(g)
+    for u in reads:
+        assert d[u] == want[u]
+    assert len(d) == len({0, *reads})
+    assert d.n == g.n
+    assert d.rows == want
+    assert len(d) == g.n
+
+
+def test_disconnected_graph_fails_in_distance_matrix():
+    g = Graph(4, [(0, 1), (2, 3)], require_connected=False)
+    with pytest.raises(GraphError, match="connected"):
+        distance_matrix(g)
+    empty = distance_matrix(Graph(0, [], require_connected=False))
+    assert empty.rows == ()
+
+
+def test_rows_outside_the_vertices_raise_index_error():
+    d = distance_matrix(Graph(3, [(0, 1), (1, 2)]))
+    for u in (3, -1):
+        with pytest.raises(IndexError):
+            d[u]
+    assert d[2] == (2, 1, 0)

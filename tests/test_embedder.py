@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
     Embedding,
@@ -171,6 +174,61 @@ def test_verify_embedding_validates_shape():
     with pytest.raises(ValueError):
         verify_embedding(d, [frozenset({0, 1}), frozenset({1}),
                              frozenset({2, 3}), frozenset({0, 3})])
+
+
+def reference_verify(d, labels):
+    """Every pair of frozensets in lexicographic order."""
+    sets = [frozenset(lab) for lab in labels]
+    if len(sets) != d.n:
+        raise ValueError("label count")
+    if len({len(s) for s in sets}) > 1:
+        raise ValueError("label sizes")
+    for x, y in combinations(range(d.n), 2):
+        diff = len(sets[x] ^ sets[y])
+        if diff != 2 * d[x][y]:
+            return IsometryWitness(x, y, diff, 2 * d[x][y])
+    return True
+
+
+_EMBEDDED = [(g, build_embedding(g)) for g in (
+    johnson_graph(2, 5), johnson_graph(3, 6), hypercube_graph(3), cycle_graph(6),
+    cycle_graph(7), path_graph(5), petersen_graph())]
+
+
+@st.composite
+def labels_with_tampering(draw):
+    g, emb = draw(st.sampled_from(_EMBEDDED))
+    spare = emb.ground_set_size
+    labels = [set(lab) for lab in emb.labels]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(labels) - 1))
+        kind = draw(st.sampled_from(["replace", "copy", "grow", "drop"]))
+        if kind == "replace":
+            labels[i].discard(draw(st.sampled_from(sorted(labels[i]))))
+            labels[i].add(draw(st.integers(0, spare + 2)))
+        elif kind == "copy":
+            labels[i] = set(labels[draw(st.integers(0, len(labels) - 1))])
+        elif kind == "grow":
+            labels[i].add(spare + draw(st.integers(0, 2)))
+        else:
+            del labels[i]
+    # Any hashable universe: rename the elements by a random permutation.
+    names = draw(st.permutations(range(spare + 3)))
+    return g.distances(), [[("e", names[x]) for x in lab] for lab in labels]
+
+
+def _outcome(verify, d, labels):
+    try:
+        return verify(d, labels)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(labels_with_tampering())
+def test_verify_embedding_matches_frozenset_reference(case):
+    d, labels = case
+    assert _outcome(verify_embedding, d, labels) == _outcome(reference_verify, d, labels)
 
 
 def test_embed_hypercube_path3():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from johnson_embed import (
@@ -21,7 +23,7 @@ from johnson_embed import (
 )
 from johnson_embed.graphs import OCTAHEDRON, PYRAMID, SQUARE, induced_is_pattern
 
-from helpers import two_colorable
+from helpers import find_isomorphism, two_colorable
 
 
 def test_graph_normalizes_edges():
@@ -173,6 +175,25 @@ def test_patterns():
     edges = [(a, b) for a in range(6) for b in range(a + 1, 6) if b - a != 3]
     g = Graph(6, edges)
     assert induced_is_pattern(g, tuple(range(6)), OCTAHEDRON)
+
+
+def test_patterns_match_isomorphism_on_every_graph_of_their_size():
+    patterns = {SQUARE: cycle_graph(4),
+                PYRAMID: Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                   (0, 4), (1, 4), (2, 4), (3, 4)]),
+                OCTAHEDRON: Graph(6, [(a, b) for a, b in combinations(range(6), 2)
+                                      if b - a != 3])}
+    for name, target in patterns.items():
+        pairs = list(combinations(range(target.n), 2))
+        hits = 0
+        for edges in combinations(pairs, len(target.edges)):
+            g = Graph(target.n, edges, require_connected=False)
+            want = find_isomorphism(g, target) is not None
+            assert induced_is_pattern(g, range(target.n), name) == want, (name, edges)
+            hits += want
+        assert hits > 0, name
+    with pytest.raises(ValueError):
+        induced_is_pattern(cycle_graph(4), range(4), "TRIANGLE")
 
 
 def test_induced_subgraph():
