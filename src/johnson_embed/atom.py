@@ -4,10 +4,12 @@ The scalar of two oriented edges e = (u, v) and f = (x, y) is
 d(u,y) + d(v,x) - d(u,x) - d(v,y); its value always lies in -2..2.  With a
 basepoint b fixed, the vertical edges (those whose endpoints sit at
 different depths) are oriented tail-closer-to-b and grouped into classes by
-their halfspace split pair.  On graphs passing the wallspace condition,
-two such edges share a class exactly when their scalar is 2, and the atom
-graph joins two classes exactly when representatives have scalar 1, a value
-independent of the chosen representatives.
+their halfspace split pair.  The splits are read from the WallSystem of the
+wallspace check, which split every edge once; nothing here splits again.
+On graphs passing the wallspace condition, two such edges share a class
+exactly when their scalar is 2, and the atom graph joins two classes exactly
+when representatives have scalar 1, a value independent of the chosen
+representatives.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import ConsistencyError, DistanceMatrix, Graph
-from .walls import w_sets
+from .walls import WallSystem
 
 
 def scalar(d: DistanceMatrix, e: tuple[int, int], f: tuple[int, int]) -> int:
@@ -45,46 +47,40 @@ class ThetaClasses:
     """Vertical edges grouped by identical halfspace split pairs.
 
     Classes are ordered by their smallest oriented edge; edges within a
-    class are sorted.  signatures[i] is class i's (tail side, head side)
-    split pair.
+    class are sorted.
     """
 
     basepoint: int
     classes: tuple[tuple[tuple[int, int], ...], ...]
-    signatures: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def theta1_classes(g: Graph, d: DistanceMatrix, b: int) -> ThetaClasses:
-    """Group the vertical edges of basepoint b; call only after the wallspace check.
+def theta1_classes(ws: WallSystem, d: DistanceMatrix, b: int) -> ThetaClasses:
+    """Group the vertical edges of basepoint b by the splits in ws.
 
-    Defensively verifies that edges sharing a split pair have scalar 2
-    against their class representative.
+    Taking the WallSystem means the wallspace check has passed.  Defensively
+    verifies that edges sharing a split pair have scalar 2 against their
+    class representative.
     """
+    db = d[b]
     groups: dict[tuple, list[tuple[int, int]]] = {}
-    order: list[tuple] = []
-    for edge in vertical_edges(g, d, b):
-        tail, head = edge
-        w_th, w_ht, _ = w_sets(d, tail, head)
-        sig = (w_th, w_ht)
-        if sig not in groups:
-            groups[sig] = []
-            order.append(sig)
-        groups[sig].append(edge)
-    classes = []
-    for sig in order:
-        members = tuple(sorted(groups[sig]))
+    for ew in ws.edge_walls:
+        u, v = ew.edge
+        if db[u] < db[v]:
+            groups.setdefault((ew.w_uv, ew.w_vu), []).append((u, v))
+        elif db[v] < db[u]:
+            groups.setdefault((ew.w_vu, ew.w_uv), []).append((v, u))
+    classes = sorted(tuple(sorted(members)) for members in groups.values())
+    for members in classes:
         rep = members[0]
         for edge in members[1:]:
             if scalar(d, rep, edge) != 2:
                 raise ConsistencyError(
                     f"edges {rep} and {edge} share a split pair but have scalar "
                     f"{scalar(d, rep, edge)}")
-        classes.append(members)
-    return ThetaClasses(b, tuple(classes), tuple(order))
+    return ThetaClasses(b, tuple(classes))
 
 
-def atom_graph(g: Graph, d: DistanceMatrix, b: int,
-               classes: ThetaClasses | None = None, *,
+def atom_graph(d: DistanceMatrix, classes: ThetaClasses, *,
                paranoid: bool = False) -> Graph:
     """Adjacency graph of the edge classes: classes joined iff scalar 1.
 
@@ -93,8 +89,6 @@ def atom_graph(g: Graph, d: DistanceMatrix, b: int,
     representatives.  With paranoid=True every cross pair is recomputed and
     any disagreement raises ConsistencyError.
     """
-    if classes is None:
-        classes = theta1_classes(g, d, b)
     reps = [cls[0] for cls in classes.classes]
     k = len(reps)
     edges = []

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 for accept/pass, 1 for reject/fail with a certificate,
-2 for usage, format, or I/O errors.  Certificates are printed with enough
-data to re-verify them against the input graph alone; --json switches every
-command from the human rendering to a stable JSON document on stdout.
+2 for usage, format, or I/O errors, 3 for an internal error (a bug, never a
+property of the input).  Certificates are printed with enough data to
+re-verify them against the input graph alone; --json switches every command
+from the human rendering to a stable JSON document on stdout.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from .atom import ThetaClasses
 from .embedder import (
+    INTERNAL,
     Embedding,
     HypercubeCertificate,
     HypercubeEmbedding,
@@ -25,7 +27,7 @@ from .embedder import (
     verify_embedding,
 )
 from .families import gen_family, random_connected_graph
-from .graphs import Graph, GraphError, parse_graph
+from .graphs import ConsistencyError, Graph, GraphError, parse_graph
 from .matroid import (
     ConditionReport,
     check_ic,
@@ -45,6 +47,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -139,11 +144,13 @@ def _embedding_json(emb: Embedding) -> dict:
 
 
 def _embedding_human(emb: Embedding) -> str:
-    lines = [f"embeddable: m={emb.m} ground_set_size={emb.ground_set_size} "
-             f"basepoint={emb.basepoint}"]
-    for v, lab in enumerate(emb.labels):
-        lines.append(f"  {v} -> {{{', '.join(map(str, sorted(lab)))}}}")
-    return "\n".join(lines)
+    return "\n".join([f"embeddable: m={emb.m} ground_set_size={emb.ground_set_size} "
+                      f"basepoint={emb.basepoint}", *_label_lines(emb.labels)])
+
+
+def _label_lines(labels) -> list[str]:
+    return [f"  {v} -> {{{', '.join(map(str, sorted(lab)))}}}"
+            for v, lab in enumerate(labels)]
 
 
 def _wc_certificate_json(cert: WcCertificate) -> dict:
@@ -196,7 +203,7 @@ def _root_certificate_human(cert: RootCertificate) -> str:
 
 
 def _rejection_json(rc: RejectionCertificate, run=None) -> dict:
-    out: dict = {"result": "no", "stage": rc.stage}
+    out: dict = {"result": "error" if rc.stage == INTERNAL else "no", "stage": rc.stage}
     payload = rc.payload
     if isinstance(payload, WcCertificate):
         out.update(_wc_certificate_json(payload))
@@ -259,42 +266,35 @@ def cmd_embed(args) -> int:
     run = run_pipeline(g, args.basepoint, paranoid=args.paranoid)
     result = run.result
     if isinstance(result, Embedding):
-        payload = _embedding_json(result)
-        human = _embedding_human(result)
-        if args.walls and run.wall_system is not None:
-            payload["walls"] = _wall_system_json(run.wall_system)
-            human += "\n" + _wall_system_human(run.wall_system)
-        _emit(args, payload, human)
-        return 0
-    payload = _rejection_json(result, run)
-    human = _rejection_human(result)
+        payload, human, code = _embedding_json(result), _embedding_human(result), 0
+    else:
+        payload, human = _rejection_json(result, run), _rejection_human(result)
+        code = 3 if result.stage == INTERNAL else 1
     if args.walls and run.wall_system is not None:
         payload["walls"] = _wall_system_json(run.wall_system)
         human += "\n" + _wall_system_human(run.wall_system)
     _emit(args, payload, human)
-    return 1
+    return code
 
 
 def cmd_check(args) -> int:
     g = _load(args.graph)
     d = g.distances()
     if args.condition == "wc":
+        result = check_wc(g, d)
+        if not isinstance(result, WcCertificate):
+            return cmd_check_wc_pass(args, result)
         if args.all:
             certs = check_wc_all(g, d)
-            if not certs:
-                return cmd_check_wc_pass(args, g, d)
             _emit(args,
                   {"result": "fail", "condition": "wc",
                    "certificates": [_wc_certificate_json(c) for c in certs]},
                   "\n".join("wc fail: " + _wc_certificate_human(c) for c in certs))
-            return 1
-        result = check_wc(g, d)
-        if isinstance(result, WcCertificate):
+        else:
             _emit(args,
                   {"result": "fail", "condition": "wc", **_wc_certificate_json(result)},
                   "wc fail: " + _wc_certificate_human(result))
-            return 1
-        return cmd_check_wc_pass(args, g, d, result)
+        return 1
     if args.condition == "agc":
         return _check_agc(args, g)
     if args.condition == "ic":
@@ -306,9 +306,7 @@ def cmd_check(args) -> int:
     return _emit_condition(args, report)
 
 
-def cmd_check_wc_pass(args, g, d, system: WallSystem | None = None) -> int:
-    if system is None:
-        system = check_wc(g, d)
+def cmd_check_wc_pass(args, system: WallSystem) -> int:
     _emit(args,
           {"result": "pass", "condition": "wc",
            "wall_count": len(system.walls), "walls": _wall_system_json(system)},
@@ -509,13 +507,11 @@ def cmd_partial_cube(args) -> int:
     g = _load(args.graph)
     result = embed_hypercube(g, g.distances())
     if isinstance(result, HypercubeEmbedding):
-        lines = [f"hypercube embeddable: dimension={result.dimension}"]
-        for v, lab in enumerate(result.labels):
-            lines.append(f"  {v} -> {{{', '.join(map(str, sorted(lab)))}}}")
         _emit(args,
               {"result": "yes", "dimension": result.dimension,
                "labels": [sorted(lab) for lab in result.labels]},
-              "\n".join(lines))
+              "\n".join([f"hypercube embeddable: dimension={result.dimension}",
+                         *_label_lines(result.labels)]))
         return 0
     if result.kind == "NOT_BIPARTITE":
         _emit(args,

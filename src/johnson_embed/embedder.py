@@ -9,9 +9,11 @@ distance matrix before being returned; a verification failure is reported
 as an INTERNAL certificate and indicates a bug, never a property of the
 input.
 
-The hypercube embedding is the classical bipartite construction: each edge
-split must have convex sides, splits are deduplicated into coordinates, and
-a vertex's label collects the coordinates whose far side contains it.
+The hypercube embedding reads the same wall system: a bipartite graph has no
+equidistant vertices, so it passes the wallspace check exactly when every
+edge split has convex sides, and then every wall has multiplicity 2.  The
+walls are the coordinates, and a vertex's label collects the walls whose far
+side contains it.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from .graphs import (
     Graph,
     OddCycleWitness,
     is_bipartite,
-    is_convex,
+    # Unused here, but perfbench's tracer test checks that patching is_convex
+    # reaches this module's binding too, so the name stays bound.
+    is_convex,  # noqa: F401
 )
 from .rootgraph import BipartiteRoot, RootCertificate, bipartite_root
-from .walls import WallSystem, WcCertificate, check_wc, w_sets
+from .walls import WallSystem, WcCertificate, check_wc
 
 WC = "WC"
 AGC = "AGC"
@@ -126,8 +130,8 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     wc = check_wc(g, d)
     if isinstance(wc, WcCertificate):
         return PipelineRun(basepoint=b, wc_certificate=wc)
-    classes = theta1_classes(g, d, b)
-    sigma = atom_graph(g, d, b, classes, paranoid=paranoid)
+    classes = theta1_classes(wc, d, b)
+    sigma = atom_graph(d, classes, paranoid=paranoid)
     root = bipartite_root(sigma)
     if isinstance(root, RootCertificate):
         return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
@@ -263,34 +267,25 @@ def embed_hypercube(g: Graph, d: DistanceMatrix | None = None
                     ) -> "HypercubeEmbedding | HypercubeCertificate":
     """Decide hypercube embeddability (bipartite plus convex edge sides).
 
-    Coordinates are the deduplicated edge splits in first-appearance order;
-    a vertex's label collects the coordinates whose side away from vertex 0
-    contains it.  The labeling is re-verified against all pairwise
-    distances before being returned.
+    Coordinates are the walls of check_wc in first-appearance order; a
+    vertex's label collects the walls whose side away from vertex 0 contains
+    it.  The labeling is re-verified against all pairwise distances before
+    being returned.
     """
     if d is None:
         d = g.distances()
     coloring = is_bipartite(g)
     if isinstance(coloring, OddCycleWitness):
         return HypercubeCertificate(NOT_BIPARTITE, odd_cycle=coloring.cycle)
-    seen: dict[frozenset[frozenset[int]], int] = {}
-    far_sides: list[frozenset[int]] = []
-    for u, v in g.edges:
-        w_uv, w_vu, w_eq = w_sets(d, u, v)
-        if w_eq:
-            raise ConsistencyError(
-                f"edge ({u}, {v}) has equidistant vertices in a bipartite graph")
-        key = frozenset({frozenset(w_uv), frozenset(w_vu)})
-        if key in seen:
-            # An earlier edge had this split, so both halves already passed.
-            continue
-        for half in (w_uv, w_vu):
-            verdict = is_convex(d, half)
-            if verdict is not True:
-                return HypercubeCertificate(
-                    NONCONVEX_HALFSPACE, edge=(u, v), half=half, witness=verdict)
-        seen[key] = len(far_sides)
-        far_sides.append(frozenset(w_vu if 0 in w_uv else w_uv))
+    ws = check_wc(g, d)
+    if isinstance(ws, WcCertificate):
+        if ws.kind != NONCONVEX_HALFSPACE:
+            raise ConsistencyError(f"bipartite graph failed the wallspace check: {ws}")
+        return HypercubeCertificate(
+            NONCONVEX_HALFSPACE, edge=ws.edge, half=ws.half, witness=ws.witness)
+    if any(w.multiplicity != 2 for w in ws.walls):
+        raise ConsistencyError("bipartite graph has a wall of multiplicity 1")
+    far_sides = [frozenset(w.halves[1]) for w in ws.walls]
     labels = tuple(
         frozenset(i for i, far in enumerate(far_sides) if v in far)
         for v in range(g.n)

@@ -7,9 +7,11 @@ attaching those components to the strict sides to yield complementary convex
 halfspaces.  A graph passing the condition gets a WallSystem: the per-edge
 data plus the deduplicated walls with multiplicities.
 
-Edges of one Θ class share their split, so the same halves come back edge
-after edge.  Each check_wc and check_wc_all call keeps one convexity verdict
-per distinct half and tests every half once.
+This module is the only one that splits edges.  check_wc and check_wc_all
+are one scan that splits every edge once, in edge order.  Edges of one Θ
+class share their split, so within a scan each distinct half is tested for
+convexity once, and an edge whose split already passed adds no walls.  The
+later stages (Θ classes, the hypercube embedder) read the WallSystem.
 """
 
 from __future__ import annotations
@@ -155,12 +157,32 @@ class WallSystem:
     """All per-edge walls of a graph passing the wallspace condition."""
 
     edge_walls: tuple[EdgeWalls, ...]
-    wall_pairs: tuple[tuple[Wall, Wall], ...]
     walls: tuple[SystemWall, ...]
 
     def separation(self, u: int, v: int) -> int:
         """Total multiplicity of walls separating u from v."""
         return sum(w.multiplicity for w in self.walls if w.separates(u, v))
+
+
+def _scan(g: Graph, d: DistanceMatrix):
+    """Yield (EdgeWalls, result) for every edge in order, splitting each once.
+
+    result is the edge's two walls or its certificate, or None when an
+    earlier edge had the same split and passed: the split's strict sides fix
+    its equidistant components, so the walls and verdicts would repeat.
+    """
+    verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
+    passed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    for edge in g.edges:
+        ew = splits(g, d, edge)
+        key = (ew.w_uv, ew.w_vu) if ew.w_uv < ew.w_vu else (ew.w_vu, ew.w_uv)
+        if key in passed:
+            yield ew, None
+            continue
+        result = _walls_from_splits(d, ew, verdicts)
+        if not isinstance(result, WcCertificate):
+            passed.add(key)
+        yield ew, result
 
 
 def check_wc(g: Graph, d: DistanceMatrix) -> "WallSystem | WcCertificate":
@@ -171,49 +193,27 @@ def check_wc(g: Graph, d: DistanceMatrix) -> "WallSystem | WcCertificate":
     deduplicated into SystemWalls ordered by first appearance.
     """
     edge_walls: list[EdgeWalls] = []
-    wall_pairs: list[tuple[Wall, Wall]] = []
-    per_key: dict[frozenset[frozenset[int]], int] = {}
-    order: list[frozenset[frozenset[int]]] = []
-    verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
-    for edge in g.edges:
-        ew = splits(g, d, edge)
-        result = _walls_from_splits(d, ew, verdicts)
+    system: dict[tuple[tuple[int, ...], tuple[int, ...]], SystemWall] = {}
+    for ew, result in _scan(g, d):
         if isinstance(result, WcCertificate):
             return result
-        prime, double = result
         edge_walls.append(ew)
-        wall_pairs.append(result)
-        k1 = _wall_key(prime)
-        k2 = _wall_key(double)
+        if result is None:
+            continue
+        k1, k2 = map(_canonical_halves, result)
         contributions = {k1: 2} if k1 == k2 else {k1: 1, k2: 1}
-        for key, mult in contributions.items():
-            if key not in per_key:
-                per_key[key] = mult
-                order.append(key)
-            elif per_key[key] != mult:
+        for halves, mult in contributions.items():
+            if system.setdefault(halves, SystemWall(halves, mult)).multiplicity != mult:
                 raise ConsistencyError(
-                    f"wall {key} arises with inconsistent multiplicity")
-    system_walls = tuple(
-        SystemWall(_canonical_halves(key), per_key[key]) for key in order
-    )
-    return WallSystem(tuple(edge_walls), tuple(wall_pairs), system_walls)
+                    f"wall {halves} arises with inconsistent multiplicity")
+    return WallSystem(tuple(edge_walls), tuple(system.values()))
 
 
 def check_wc_all(g: Graph, d: DistanceMatrix) -> list[WcCertificate]:
     """Exhaustive variant: certificates for every failing edge (empty if none)."""
-    certs = []
-    verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
-    for edge in g.edges:
-        result = _walls_from_splits(d, splits(g, d, edge), verdicts)
-        if isinstance(result, WcCertificate):
-            certs.append(result)
-    return certs
+    return [result for _, result in _scan(g, d) if isinstance(result, WcCertificate)]
 
 
-def _wall_key(wall: Wall) -> frozenset[frozenset[int]]:
-    return frozenset({frozenset(wall.neg), frozenset(wall.pos)})
-
-
-def _canonical_halves(key: frozenset[frozenset[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    a, b = sorted((tuple(sorted(h)) for h in key), key=lambda h: 0 not in h)
-    return a, b
+def _canonical_halves(wall: Wall) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The wall's halves, the one holding vertex 0 first (halves are sorted)."""
+    return (wall.neg, wall.pos) if wall.neg[:1] == (0,) else (wall.pos, wall.neg)

@@ -76,7 +76,7 @@ def test_criterion_1_petersen_reproduction():
                     sum(1 for x in half if g.has_edge(v, x)) == 2
                     for v in half)
 
-        sigma = atom_graph(g, d, 0)
+        sigma = atom_graph(d, theta1_classes(ws, d, 0))
         assert sigma.n == 9
         assert all(sigma.degree(v) == 4 for v in range(9))
         root = bipartite_root(sigma)
@@ -152,7 +152,9 @@ def test_criterion_4_fixed_small_decisions():
 
         emb = build_embedding(cycle_graph(6))
         assert (emb.m, emb.ground_set_size) == (3, 6)
-        sigma = atom_graph(cycle_graph(6), cycle_graph(6).distances(), 0)
+        c6 = cycle_graph(6)
+        d6 = c6.distances()
+        sigma = atom_graph(d6, theta1_classes(check_wc(c6, d6), d6, 0))
         assert sigma.edges == ()
 
         assert isinstance(build_embedding(complete_graph(4)), Embedding)
@@ -270,6 +272,7 @@ def test_criterion_8_partial_cube_agreement():
             assert isinstance(emb, Embedding)
             assert emb.m == cube.dimension
             assert emb.ground_set_size == 2 * emb.m
-            sigma = atom_graph(g, g.distances(), 0)
+            d = g.distances()
+            sigma = atom_graph(d, theta1_classes(check_wc(g, d), d, 0))
             assert sigma.edges == ()
             assert verify_embedding(g.distances(), emb.labels) is True

@@ -13,6 +13,15 @@ from johnson_embed import (
 )
 
 
+def classes_of(g, b=0):
+    d = g.distances()
+    return theta1_classes(check_wc(g, d), d, b)
+
+
+def sigma_of(g, b=0, **kwargs):
+    return atom_graph(g.distances(), classes_of(g, b), **kwargs)
+
+
 def test_scalar_small_cases():
     g = cycle_graph(6)
     d = g.distances()
@@ -54,14 +63,14 @@ def test_vertical_edges_even_cycle_all_vertical():
 
 def test_theta1_classes_cycle5():
     g = cycle_graph(5)
-    classes = theta1_classes(g, g.distances(), 0)
+    classes = classes_of(g)
     assert classes.basepoint == 0
     assert classes.classes == (((0, 1),), ((0, 4),), ((1, 2),), ((4, 3),))
 
 
 def test_theta1_classes_cycle6():
     g = cycle_graph(6)
-    classes = theta1_classes(g, g.distances(), 0)
+    classes = classes_of(g)
     # Antipodal edges of the hexagon fall into one class.
     assert classes.classes == (
         ((0, 1), (4, 3)),
@@ -77,7 +86,7 @@ def test_theta1_partitions_vertical_edges(corpus_decisions):
         if not isinstance(result, Embedding):
             continue
         d = g.distances()
-        classes = theta1_classes(g, d, 0)
+        classes = classes_of(g)
         flat = [e for cls in classes.classes for e in cls]
         assert sorted(flat) == list(vertical_edges(g, d, 0)), name
 
@@ -87,7 +96,7 @@ def test_same_class_iff_scalar_two(corpus_decisions):
         if not isinstance(result, Embedding):
             continue
         d = g.distances()
-        classes = theta1_classes(g, d, 0)
+        classes = classes_of(g)
         index = {}
         for i, cls in enumerate(classes.classes):
             for e in cls:
@@ -102,8 +111,7 @@ def test_same_class_iff_scalar_two(corpus_decisions):
 
 def test_atom_graph_cycle5_is_path():
     g = cycle_graph(5)
-    d = g.distances()
-    sigma = atom_graph(g, d, 0)
+    sigma = sigma_of(g)
     assert sigma.n == 4
     assert sigma.edges == ((0, 3), (1, 2), (2, 3))
     assert sorted(sigma.degree(v) for v in range(4)) == [1, 1, 2, 2]
@@ -111,7 +119,7 @@ def test_atom_graph_cycle5_is_path():
 
 def test_atom_graph_complete4_is_triangle():
     g = complete_graph(4)
-    sigma = atom_graph(g, g.distances(), 0)
+    sigma = sigma_of(g)
     assert sigma.n == 3
     assert sigma.edges == ((0, 1), (0, 2), (1, 2))
 
@@ -119,21 +127,21 @@ def test_atom_graph_complete4_is_triangle():
 def test_atom_graph_even_cycle_edgeless():
     for k in (4, 6, 8):
         g = cycle_graph(k)
-        sigma = atom_graph(g, g.distances(), 0)
+        sigma = sigma_of(g)
         assert sigma.n == k // 2
         assert sigma.edges == ()
 
 
 def test_atom_graph_path_edgeless():
     g = path_graph(5)
-    sigma = atom_graph(g, g.distances(), 0)
+    sigma = sigma_of(g)
     assert sigma.n == 4
     assert sigma.edges == ()
 
 
 def test_atom_graph_petersen():
     g = petersen_graph()
-    sigma = atom_graph(g, g.distances(), 0)
+    sigma = sigma_of(g)
     assert sigma.n == 9
     assert len(sigma.edges) == 18
     assert all(sigma.degree(v) == 4 for v in range(9))
@@ -143,9 +151,8 @@ def test_atom_graph_paranoid_agrees(corpus_decisions):
     for name, g, result in corpus_decisions:
         if not isinstance(result, Embedding):
             continue
-        d = g.distances()
-        plain = atom_graph(g, d, 0)
-        hard = atom_graph(g, d, 0, paranoid=True)
+        plain = sigma_of(g)
+        hard = sigma_of(g, paranoid=True)
         assert plain.edges == hard.edges, name
 
 
@@ -153,7 +160,8 @@ def test_atom_graph_gated_on_wc(corpus):
     # The class machinery is only invoked after the wall check passes.
     for name, g in corpus:
         d = g.distances()
-        if isinstance(check_wc(g, d), WcCertificate):
+        ws = check_wc(g, d)
+        if isinstance(ws, WcCertificate):
             continue
-        sigma = atom_graph(g, d, 0)
-        assert sigma.n == len(theta1_classes(g, d, 0).classes), name
+        classes = theta1_classes(ws, d, 0)
+        assert atom_graph(d, classes).n == len(classes.classes), name

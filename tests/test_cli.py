@@ -3,7 +3,8 @@ import json
 import pytest
 
 from johnson_embed.cli import format_edge_list, main, parse_labels
-from johnson_embed import cycle_graph, graphs
+from johnson_embed import IsometryWitness, cli, cycle_graph, embedder, graphs
+from johnson_embed.graphs import ConsistencyError
 
 
 @pytest.fixture
@@ -114,6 +115,28 @@ def test_embed_huge_vertex_count_fails_before_allocating(tmp_path, capsys, monke
     huge.write_text("10000000000\n", encoding="utf-8")
     assert main(["embed", str(huge)]) == 2
     assert "disconnected" in capsys.readouterr().err
+
+
+def test_embed_internal_failure_is_an_error_not_a_no(c5, capsys, monkeypatch):
+    monkeypatch.setattr(embedder, "verify_embedding",
+                        lambda d, labels: IsometryWitness(0, 1, 4, 2))
+    assert main(["embed", c5, "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == "error"
+    assert doc["stage"] == "INTERNAL"
+    assert main(["embed", c5]) == 3
+    assert capsys.readouterr().out.startswith("internal error: ")
+
+
+def test_consistency_error_exits_3_without_traceback(c5, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConsistencyError("edge scalar 3 out of range")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    assert main(["embed", c5, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: edge scalar 3 out of range\n"
 
 
 def test_check_wc(c5, k23, capsys):

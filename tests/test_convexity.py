@@ -77,6 +77,19 @@ def _reference_walls(g, d):
     return [walls._walls_from_splits(d, splits(g, d, e), _NoCache()) for e in g.edges]
 
 
+def _reference_system_walls(pairs):
+    """The walls of the per-edge pairs, deduplicated in first-appearance order."""
+    multiplicity = {}
+    for prime, double in pairs:
+        k1, k2 = (frozenset({frozenset(w.neg), frozenset(w.pos)}) for w in (prime, double))
+        for key, mult in ({k1: 2} if k1 == k2 else {k1: 1, k2: 1}).items():
+            multiplicity.setdefault(key, mult)
+    return tuple(
+        walls.SystemWall(tuple(sorted((tuple(sorted(h)) for h in key),
+                                      key=lambda h: 0 not in h)), mult)
+        for key, mult in multiplicity.items())
+
+
 def _reference_hypercube(g, d):
     """The first non-convex edge side in edge order, or None if there is none."""
     for u, v in g.edges:
@@ -107,7 +120,8 @@ def test_cached_scans_match_uncached_reference(monkeypatch):
             kinds.add(certs[0].kind)
         else:
             assert isinstance(wc, WallSystem)
-            assert wc.wall_pairs == tuple(per_edge)
+            assert wc.edge_walls == tuple(splits(g, d, e) for e in g.edges)
+            assert wc.walls == _reference_system_walls(per_edge)
             kinds.add("pass")
         if isinstance(is_bipartite(g), OddCycleWitness):
             continue

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from johnson_embed import (
     petersen_graph,
     run_pipeline,
     verify_embedding,
+    walls,
 )
 
 
@@ -318,3 +320,23 @@ def test_pipeline_agrees_with_hypercube_on_bipartite(corpus_decisions):
             assert result.ground_set_size == 2 * result.m or result.m == 0, name
         else:
             assert isinstance(cube, HypercubeCertificate), name
+
+
+def test_build_embedding_splits_each_edge_once(monkeypatch):
+    # The wallspace scan splits every edge; the Θ classes reuse its splits.
+    original = walls.w_sets
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("johnson_embed"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    for g in (johnson_graph(3, 6), petersen_graph()):
+        calls.clear()
+        assert isinstance(build_embedding(g), Embedding)
+        assert len(calls) == len(g.edges)

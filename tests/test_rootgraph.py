@@ -128,10 +128,11 @@ def test_bipartite_root_empty_input():
 
 
 def test_bipartite_root_petersen_atom_graph():
-    from johnson_embed import atom_graph
+    from johnson_embed import atom_graph, check_wc, theta1_classes
 
     g = petersen_graph()
-    sigma = atom_graph(g, g.distances(), 0)
+    d = g.distances()
+    sigma = atom_graph(d, theta1_classes(check_wc(g, d), d, 0))
     root = bipartite_root(sigma)
     assert isinstance(root, BipartiteRoot)
     assert find_isomorphism(root.root, complete_bipartite_graph(3, 3)) is not None
