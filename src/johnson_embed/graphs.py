@@ -5,7 +5,10 @@ finite simple undirected graph on vertices 0..n-1, immutable after
 construction.  A DistanceMatrix holds shortest-path hop distances; each row
 is computed by one BFS the first time it is read and then kept, so a scan
 that stops early pays only for the rows it read.  One matrix per graph is
-shared by every stage.
+shared by every stage, and its row 0 is the BFS that checked the graph
+connected.  is_convex decides a set from the rows of its boundary members
+(those with an outside neighbour) and finds a witness from the row of one
+BFS source.
 
 Graphs read from user input must be connected.  Internally constructed
 graphs (class adjacency graphs, neighborhood subgraphs, reconstructed roots)
@@ -36,16 +39,22 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not bad user input."""
 
 
-def _bfs_reach(neighbors: tuple[tuple[int, ...], ...], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def _bfs_row(neighbors: tuple[tuple[int, ...], ...], s: int) -> list[int]:
+    """Hop distances from s by one level-synchronous BFS; -1 marks unreached."""
+    dist = [-1] * len(neighbors)
+    dist[s] = 0
+    frontier = [s]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for w in neighbors[u]:
+                if dist[w] < 0:
+                    dist[w] = level
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 class Graph:
@@ -53,17 +62,16 @@ class Graph:
 
     Adjacency is stored as per-vertex sorted neighbor tuples plus a set of
     normalized edge pairs for constant-time lookup.  The distance matrix is
-    computed lazily and cached; instances are treated as immutable.
+    computed lazily and cached; the connectivity check's BFS becomes its
+    row 0.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "edges", "neighbors", "_edge_set", "_dist")
+    __slots__ = ("n", "edges", "neighbors", "_edge_set", "_row0", "_dist")
 
     def __init__(self, n: int, edges, *, require_connected: bool = True):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
-        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex out of range in edge ({u}, {v})")
@@ -73,21 +81,26 @@ class Graph:
             if e in seen:
                 raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
-            norm.append(e)
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        # Appending in sorted edge order leaves every neighbor list ascending:
+        # v's smaller neighbors u arrive with edges (u, v), all before (v, w).
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        self.neighbors: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self.neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._edge_set = frozenset(seen)
+        self._row0: tuple[int, ...] | None = None
         self._dist: DistanceMatrix | None = None
         if require_connected:
             if n == 0:
                 raise GraphError("a connected graph needs at least one vertex")
-            reached = _bfs_reach(self.neighbors, 0)
-            if len(reached) != n:
-                missing = min(set(range(n)) - reached)
-                raise GraphError(f"graph is disconnected: vertex {missing} unreachable from 0")
+            row = _bfs_row(self.neighbors, 0)
+            if -1 in row:
+                raise GraphError(
+                    f"graph is disconnected: vertex {row.index(-1)} unreachable from 0")
+            self._row0 = tuple(row)
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self._edge_set
@@ -124,20 +137,7 @@ class DistanceMatrix(dict):
     def __missing__(self, s: int) -> tuple[int, ...]:
         if not 0 <= s < self.n:
             raise IndexError(f"vertex {s} out of range 0..{self.n - 1}")
-        neighbors = self._neighbors
-        dist = [-1] * self.n
-        dist[s] = 0
-        frontier = [s]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for u in frontier:
-                for w in neighbors[u]:
-                    if dist[w] < 0:
-                        dist[w] = level
-                        nxt.append(w)
-            frontier = nxt
+        dist = _bfs_row(self._neighbors, s)
         if -1 in dist:
             raise GraphError("distance matrix requires a connected graph")
         row = self[s] = tuple(dist)
@@ -217,11 +217,14 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """Distances of g, row by row on first read; requires a connected graph.
 
-    Row 0 is read here: on a disconnected graph every row fails, so the
-    error surfaces now rather than at some later read.
+    Row 0 is filled here: a graph built connected hands over the row of its
+    connectivity check, and any other graph has row 0 read now, so on a
+    disconnected graph the error surfaces here rather than at a later read.
     """
     d = DistanceMatrix(g)
-    if g.n:
+    if g._row0 is not None:
+        d[0] = g._row0
+    elif g.n:
         d[0]
     return d
 
@@ -246,41 +249,74 @@ class ConvexityWitness:
 def is_convex(d: DistanceMatrix, s) -> "bool | ConvexityWitness":
     """True if s contains every interval between its members.
 
-    The verdict comes from the boundary edges alone: s is convex iff no
-    member y has an outside neighbour z with d(x, z) < d(x, y) for some
-    member x.  (Walk a geodesic from y back to x; the first vertex that
-    leaves s and the member just before it form such a pair.)  That costs
-    O(|s|·|V∖s| + cut·|s|).
+    Otherwise the lexicographically smallest witness (x, y, z): members
+    x < y and an outside vertex z on a shortest x-y path.
 
-    On failure the exhaustive search over member pairs and outside vertices
-    returns the lexicographically smallest witness (x, y, z).
+    Member x leaks through a cut edge (y, z), y in s and z outside, when
+    d(x, z) < d(x, y); then z lies on a shortest x-y path, and s is convex
+    iff no member leaks.  (Walk a geodesic from y back to x: the first
+    vertex that leaves s and the member just before it form a cut edge that
+    x leaks through.)  Only boundary members, those with an outside
+    neighbour, need testing: if an interior member x leaks through (y, z),
+    its neighbour x' on a shortest x-z path is a member and leaks through
+    (y, z) at a smaller d(., z), so some boundary member leaks too.
+
+    The verdict reads the row of each boundary member, in ascending order
+    up to the first that leaks, and compares it over all cut edges: listing
+    the cut edges costs the members' degrees, the test O(boundary·cut) at C
+    speed, and no row of an outside vertex is read.  A witness then reads
+    the rows of the interior members below that one, to find x (the
+    smallest member that leaks: a member leaks iff it ends some pair of
+    members with an outside vertex between them, so the smallest such end
+    is the witness's x), and the row of y.  y is the smallest
+    member above x that some shortest path from x reaches through an
+    outside vertex, found in one pass over row x by distance; z is the
+    smallest outside vertex on a shortest x-y path.
     """
     members = sorted(set(s))
     if len(members) < 2:
         return True
+    neighbors = d._neighbors
     inside = [False] * d.n
     for x in members:
         inside[x] = True
-    outside = [z for z in range(d.n) if not inside[z]]
-    at_members = itemgetter(*members)
+    boundary: list[int] = []
+    cut_y: list[int] = []
+    cut_z: list[int] = []
     for y in members:
-        dy = d[y]
-        cut = [z for z in outside if dy[z] == 1]
-        if cut:
-            dy_members = at_members(dy)
-            if any(any(map(lt, at_members(d[z]), dy_members)) for z in cut):
-                break
-    else:
+        out = [z for z in neighbors[y] if not inside[z]]
+        if out:
+            boundary.append(y)
+            cut_y += [y] * len(out)
+            cut_z += out
+    if not boundary:
         return True
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            dxy = d[x][y]
-            if dxy < 2:
-                continue
-            for z in outside:
-                if d[x][z] + d[z][y] == dxy:
-                    return ConvexityWitness(x, y, z)
-    return True
+    # itemgetter of one index returns a bare value; repeating the first cut
+    # edge keeps both results tuples.
+    at_y = itemgetter(cut_y[0], *cut_y)
+    at_z = itemgetter(cut_z[0], *cut_z)
+
+    def leaks(x: int) -> bool:
+        dx = d[x]
+        return any(map(lt, at_z(dx), at_y(dx)))
+
+    if not any(map(leaks, boundary)):
+        return True
+    # Stops at or before the first boundary member that leaks; the boundary
+    # members below it already have their rows.
+    x = next(x for x in members if leaks(x))
+    dx = d[x]
+    # via[v]: v is outside s, or a shortest x-v path passes outside s before v.
+    # Parents sit one step closer to x, so ordering by distance settles them first.
+    via = [not i for i in inside]
+    for v in sorted(range(d.n), key=dx.__getitem__):
+        if not via[v]:
+            up = dx[v] - 1
+            via[v] = any(via[p] for p in neighbors[v] if dx[p] == up)
+    y = next(y for y in members if y > x and via[y])
+    dy, dxy = d[y], dx[y]
+    z = next(z for z in range(d.n) if not inside[z] and dx[z] + dy[z] == dxy)
+    return ConvexityWitness(x, y, z)
 
 
 def induced_components(g: Graph, s) -> tuple[tuple[int, ...], ...]:

@@ -11,7 +11,9 @@ from johnson_embed import (
     WcCertificate,
     check_wc,
     check_wc_all,
+    cycle_graph,
     embed_hypercube,
+    induced_components,
     is_bipartite,
     is_convex,
     random_connected_graph,
@@ -64,6 +66,38 @@ def graph_and_subset(draw):
 def test_is_convex_matches_exhaustive_reference(case):
     d, subset = case
     assert is_convex(d, subset) == reference_is_convex(d, subset)
+
+
+@st.composite
+def graph_and_halves(draw):
+    """A random connected graph and the halves one of its edges can give."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.5]))
+    g = random_connected_graph(n, p, seed=draw(st.integers(0, 10**6)))
+    u, v = draw(st.sampled_from(g.edges))
+    d = g.distances()
+    w_uv, w_vu, w_eq = w_sets(d, u, v)
+    halves = [w_uv, w_vu]
+    for comp in induced_components(g, w_eq):
+        halves += [tuple(sorted(w_uv + comp)), tuple(sorted(w_vu + comp))]
+    return d, halves
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_halves())
+def test_is_convex_on_edge_halves_matches_exhaustive_reference(case):
+    d, halves = case
+    for half in halves:
+        assert is_convex(d, half) == reference_is_convex(d, half)
+
+
+def test_convex_arc_reads_only_its_boundary_rows():
+    # Vertices 5..15 of C40 form a convex arc whose boundary members are its
+    # two ends; the graph's own row 0 exists before the test.
+    d = cycle_graph(40).distances()
+    assert set(d) == {0}
+    assert is_convex(d, range(5, 16)) is True
+    assert set(d) == {0, 5, 15}
 
 
 class _NoCache(dict):

@@ -1,7 +1,9 @@
 """Distance rows computed on first read, against a reference BFS."""
 
+import sys
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,12 @@ from johnson_embed import (
     build_embedding,
     distance_matrix,
 )
+from johnson_embed import graphs
 from johnson_embed.walls import TOO_MANY_COMPONENTS
+
+# The benchmark's seeded corpus; it imports nothing from the program.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 
 def reference_rows(g):
@@ -45,6 +52,30 @@ def test_first_edge_rejection_reads_only_its_rows():
     assert result.payload.kind == TOO_MANY_COMPONENTS
     assert result.payload.edge == (0, 1)
     assert len(g.distances()) == 2
+
+
+def test_connectivity_check_row_becomes_row_0(monkeypatch):
+    runs = []
+    bfs_row = graphs._bfs_row
+    monkeypatch.setattr(graphs, "_bfs_row", lambda nb, s: runs.append(s) or bfs_row(nb, s))
+    g = Graph(5, [(3, 4), (0, 1), (1, 2), (2, 3)])
+    d = g.distances()
+    assert runs == [0]
+    assert set(d) == {0}
+    assert d[0] == (0, 1, 2, 3, 4)
+    d[4]
+    assert runs == [0, 4]
+
+
+def test_random_reject_decisions_read_few_rows():
+    # Seed 1 of the benchmark's random-reject corpus: 360 graphs of 32 to
+    # 250 vertices, 47,121 rows if every row were read.
+    rows = 0
+    for inp in corpus.random_reject(1):
+        g = Graph(inp.n, inp.edges)
+        assert isinstance(build_embedding(g), RejectionCertificate), inp.name
+        rows += len(g.distances())
+    assert rows <= 3000
 
 
 @st.composite

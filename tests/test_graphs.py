@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
     ConvexityWitness,
@@ -48,6 +49,63 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 1)])
     Graph(3, [(0, 1)], require_connected=False)
     Graph(0, [], require_connected=False)
+
+
+def reference_first_error(n, edges):
+    """The message for the first bad edge in input order, or None."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"vertex out of range in edge ({u}, {v})"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return f"duplicate edge ({e[0]}, {e[1]})"
+        seen.add(e)
+    return None
+
+
+@st.composite
+def edge_input(draw):
+    """Shuffled, randomly oriented edges, sometimes with bad edges mixed in."""
+    n = draw(st.integers(1, 10))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [draw(st.sampled_from([(u, v), (v, u)])) for u, v in chosen]
+    bad = st.one_of(
+        st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)),
+        st.sampled_from(edges) if edges else st.nothing(),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(bad))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_input())
+def test_graph_adjacency_matches_sorted_reference(case):
+    n, edges = case
+    error = reference_first_error(n, edges)
+    if error is not None:
+        with pytest.raises(GraphError) as exc:
+            Graph(n, edges, require_connected=False)
+        assert str(exc.value) == error
+        return
+    g = Graph(n, edges, require_connected=False)
+    norm = sorted((min(u, v), max(u, v)) for u, v in edges)
+    assert g.edges == tuple(norm)
+    assert g.neighbors == tuple(
+        tuple(sorted({v for e in norm if w in e for v in e} - {w})) for w in range(n))
+    reached = {0}
+    for _ in range(n):
+        reached |= {v for e in norm if reached & set(e) for v in e}
+    if len(reached) == n:
+        assert Graph(n, edges).n == n
+    else:
+        missing = min(set(range(n)) - reached)
+        with pytest.raises(GraphError, match=f"disconnected: vertex {missing} unreachable"):
+            Graph(n, edges)
 
 
 def test_graph_connectivity_error_names_vertex():
