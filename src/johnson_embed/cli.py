@@ -12,16 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .atom import ThetaClasses
 from .embedder import (
     INTERNAL,
     Embedding,
-    HypercubeCertificate,
     HypercubeEmbedding,
+    PipelineRun,
     RejectionCertificate,
-    build_embedding,
     embed_hypercube,
     run_pipeline,
     verify_embedding,
@@ -36,7 +35,7 @@ from .matroid import (
     is_basis_graph,
 )
 from .oracle import oracle_decide
-from .rootgraph import BipartiteRoot, RootCertificate, bipartite_root
+from .rootgraph import RootCertificate
 from .walls import WallSystem, WcCertificate, check_wc, check_wc_all
 
 
@@ -126,26 +125,25 @@ def _load(path: str) -> Graph:
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(payload, default=_doc))
     else:
         print(human)
 
 
-# ---- serialization ----
+# ---- rendering ----
 
-def _embedding_json(emb: Embedding) -> dict:
-    return {
-        "result": "yes",
-        "m": emb.m,
-        "ground_set_size": emb.ground_set_size,
-        "basepoint": emb.basepoint,
-        "labels": [sorted(lab) for lab in emb.labels],
-    }
+def _doc(x) -> dict | list:
+    """The JSON form of a result object, one level deep.
 
-
-def _embedding_human(emb: Embedding) -> str:
-    return "\n".join([f"embeddable: m={emb.m} ground_set_size={emb.ground_set_size} "
-                      f"basepoint={emb.basepoint}", *_label_lines(emb.labels)])
+    A dataclass becomes a dict of its fields in declaration order, leaving out
+    any field still equal to its declared default; a frozenset becomes a
+    sorted list.  json.dumps calls this for every dataclass or frozenset it
+    meets inside a payload, and writes tuples as lists itself, so a
+    certificate's JSON is exactly its own fields.
+    """
+    if isinstance(x, frozenset):
+        return sorted(x)
+    return {f.name: v for f in fields(x) if (v := getattr(x, f.name)) != f.default}
 
 
 def _label_lines(labels) -> list[str]:
@@ -153,20 +151,7 @@ def _label_lines(labels) -> list[str]:
             for v, lab in enumerate(labels)]
 
 
-def _wc_certificate_json(cert: WcCertificate) -> dict:
-    out: dict = {"kind": cert.kind, "edge": list(cert.edge)}
-    if cert.component_count is not None:
-        out["component_count"] = cert.component_count
-        out["components"] = [list(c) for c in cert.components]
-    if cert.half is not None:
-        out["variant"] = cert.variant
-        out["half"] = list(cert.half)
-        w = cert.witness
-        out["witness"] = {"x": w.x, "y": w.y, "z": w.z}
-    return out
-
-
-def _wc_certificate_human(cert: WcCertificate) -> str:
+def _wc_human(cert: WcCertificate) -> str:
     u, v = cert.edge
     if cert.component_count is not None:
         return (f"edge ({u}, {v}): equidistant set has {cert.component_count} "
@@ -177,18 +162,7 @@ def _wc_certificate_human(cert: WcCertificate) -> str:
             f"{w.z} lies between {w.x} and {w.y}")
 
 
-def _root_certificate_json(cert: RootCertificate) -> dict:
-    out: dict = {"kind": cert.kind}
-    if cert.vertices:
-        out["vertices"] = list(cert.vertices)
-    if cert.cliques:
-        out["cliques"] = [list(c) for c in cert.cliques]
-    if cert.cycle:
-        out["cycle"] = list(cert.cycle)
-    return out
-
-
-def _root_certificate_human(cert: RootCertificate) -> str:
+def _root_human(cert: RootCertificate) -> str:
     if cert.kind == "CLAW":
         c, *leaves = cert.vertices
         return f"class {c} has pairwise non-adjacent class neighbors {leaves}"
@@ -202,49 +176,31 @@ def _root_certificate_human(cert: RootCertificate) -> str:
     return f"root graph contains an odd cycle: {list(cert.cycle)}"
 
 
-def _rejection_json(rc: RejectionCertificate, run=None) -> dict:
-    out: dict = {"result": "error" if rc.stage == INTERNAL else "no", "stage": rc.stage}
-    payload = rc.payload
-    if isinstance(payload, WcCertificate):
-        out.update(_wc_certificate_json(payload))
-    elif isinstance(payload, RootCertificate):
-        out.update(_root_certificate_json(payload))
-        if run is not None:
-            out["basepoint"] = run.basepoint
-            if payload.kind == "ODD_CYCLE_IN_ROOT" and run.sigma is not None:
-                # The deterministic reconstruction lets the cycle be rechecked.
-                out["class_count"] = run.sigma.n
-    else:
-        out["reason"] = payload.reason
-        out["data"] = list(payload.data)
-    return out
-
-
-def _rejection_human(rc: RejectionCertificate) -> str:
-    payload = rc.payload
-    if isinstance(payload, WcCertificate):
-        detail = _wc_certificate_human(payload)
-        return f"not embeddable (wallspace condition): {detail}"
-    if isinstance(payload, RootCertificate):
-        detail = _root_certificate_human(payload)
-        return f"not embeddable (atom graph condition): {detail}"
-    return f"internal error: {payload.reason}: {payload.data}"
-
-
-def _wall_system_json(ws: WallSystem) -> list[dict]:
-    return [
-        {"halves": [list(w.halves[0]), list(w.halves[1])],
-         "multiplicity": w.multiplicity}
-        for w in ws.walls
-    ]
-
-
-def _wall_system_human(ws: WallSystem) -> str:
+def _walls_human(ws: WallSystem) -> str:
     lines = [f"{len(ws.walls)} walls:"]
     for w in ws.walls:
         a, b = w.halves
         lines.append(f"  {set(a)} | {set(b)}  x{w.multiplicity}")
     return "\n".join(lines)
+
+
+def _ic_human(w) -> str:
+    return f"interval of ({w.u}, {w.v}) = {set(w.interval)}"
+
+
+def _rejection(rc: RejectionCertificate, run: PipelineRun) -> tuple[dict, str]:
+    cert = rc.payload
+    payload = {"result": "error" if rc.stage == INTERNAL else "no", "stage": rc.stage,
+               **_doc(cert)}
+    if isinstance(cert, WcCertificate):
+        return payload, f"not embeddable (wallspace condition): {_wc_human(cert)}"
+    if isinstance(cert, RootCertificate):
+        payload["basepoint"] = run.basepoint
+        if cert.kind == "ODD_CYCLE_IN_ROOT" and run.sigma is not None:
+            # The deterministic reconstruction lets the cycle be rechecked.
+            payload["class_count"] = run.sigma.n
+        return payload, f"not embeddable (atom graph condition): {_root_human(cert)}"
+    return payload, f"internal error: {cert.reason}: {cert.data}"
 
 
 def _dot(g: Graph, name: str, annotations: dict[int, str] | None = None) -> str:
@@ -266,13 +222,16 @@ def cmd_embed(args) -> int:
     run = run_pipeline(g, args.basepoint, paranoid=args.paranoid)
     result = run.result
     if isinstance(result, Embedding):
-        payload, human, code = _embedding_json(result), _embedding_human(result), 0
+        payload, code = {"result": "yes", **_doc(result)}, 0
+        human = "\n".join([f"embeddable: m={result.m} ground_set_size="
+                           f"{result.ground_set_size} basepoint={result.basepoint}",
+                           *_label_lines(result.labels)])
     else:
-        payload, human = _rejection_json(result, run), _rejection_human(result)
+        payload, human = _rejection(result, run)
         code = 3 if result.stage == INTERNAL else 1
     if args.walls and run.wall_system is not None:
-        payload["walls"] = _wall_system_json(run.wall_system)
-        human += "\n" + _wall_system_human(run.wall_system)
+        payload["walls"] = run.wall_system.walls
+        human += "\n" + _walls_human(run.wall_system)
     _emit(args, payload, human)
     return code
 
@@ -284,16 +243,13 @@ def cmd_check(args) -> int:
         result = check_wc(g, d)
         if not isinstance(result, WcCertificate):
             return cmd_check_wc_pass(args, result)
+        payload = {"result": "fail", "condition": "wc"}
         if args.all:
-            certs = check_wc_all(g, d)
-            _emit(args,
-                  {"result": "fail", "condition": "wc",
-                   "certificates": [_wc_certificate_json(c) for c in certs]},
-                  "\n".join("wc fail: " + _wc_certificate_human(c) for c in certs))
+            certs = payload["certificates"] = check_wc_all(g, d)
         else:
-            _emit(args,
-                  {"result": "fail", "condition": "wc", **_wc_certificate_json(result)},
-                  "wc fail: " + _wc_certificate_human(result))
+            certs = [result]
+            payload.update(_doc(result))
+        _emit(args, payload, "\n".join("wc fail: " + _wc_human(c) for c in certs))
         return 1
     if args.condition == "agc":
         return _check_agc(args, g)
@@ -309,8 +265,8 @@ def cmd_check(args) -> int:
 def cmd_check_wc_pass(args, system: WallSystem) -> int:
     _emit(args,
           {"result": "pass", "condition": "wc",
-           "wall_count": len(system.walls), "walls": _wall_system_json(system)},
-          "wc pass\n" + _wall_system_human(system))
+           "wall_count": len(system.walls), "walls": system.walls},
+          "wc pass\n" + _walls_human(system))
     return 0
 
 
@@ -318,30 +274,27 @@ def _check_agc(args, g: Graph) -> int:
     run = run_pipeline(g, args.basepoint)
     if run.wc_certificate is not None:
         _emit(args,
-              {"result": "fail", "condition": "wc",
-               **_wc_certificate_json(run.wc_certificate)},
-              "wc fail (agc needs it): " + _wc_certificate_human(run.wc_certificate))
+              {"result": "fail", "condition": "wc", **_doc(run.wc_certificate)},
+              "wc fail (agc needs it): " + _wc_human(run.wc_certificate))
         return 1
     if run.root_certificate is not None:
         _emit(args,
               {"result": "fail", "condition": "agc", "basepoint": run.basepoint,
-               **_root_certificate_json(run.root_certificate)},
-              "agc fail: " + _root_certificate_human(run.root_certificate))
+               **_doc(run.root_certificate)},
+              "agc fail: " + _root_human(run.root_certificate))
         return 1
     root = run.root
     payload = {
         "result": "pass", "condition": "agc", "basepoint": run.basepoint,
         "wc": "pass", "class_count": run.sigma.n,
-        "b_side": list(root.b_side), "a_side": list(root.a_side),
-        "root_edges": [list(e) for e in root.vertex_to_edge],
+        "b_side": root.b_side, "a_side": root.a_side, "root_edges": root.vertex_to_edge,
     }
     human = (f"wc pass, agc pass: {run.sigma.n} classes, root has "
              f"|b side| = {len(root.b_side)}, |a side| = {len(root.a_side)}")
     if args.dot:
         sides = {v: 'side="b"' for v in root.b_side}
         sides.update({v: 'side="a"' for v in root.a_side})
-        human = _dot(root.root, "root", sides)
-        payload["dot"] = human
+        human = payload["dot"] = _dot(root.root, "root", sides)
     _emit(args, payload, human)
     return 0
 
@@ -352,23 +305,15 @@ def _emit_condition(args, report: ConditionReport) -> int:
         _emit(args, {"result": "pass", "condition": name}, f"{name} pass")
         return 0
     w = report.witness
-    payload: dict = {"result": "fail", "condition": name}
     if name == "ic":
-        payload["witness"] = {"u": w.u, "v": w.v, "interval": list(w.interval)}
-        human = (f"ic fail: interval of ({w.u}, {w.v}) = {set(w.interval)} "
-                 f"induces no allowed pattern")
+        human = f"ic fail: {_ic_human(w)} induces no allowed pattern"
     elif name == "pc":
-        payload["witness"] = {"basepoint": w.basepoint, "square": list(w.square)}
         human = (f"pc fail: square {w.square} has unequal distance sums "
                  f"from {w.basepoint}")
     else:
-        payload["witness"] = {
-            "vertex": w.vertex, "neighborhood": list(w.neighborhood),
-            "certificate": _root_certificate_json(w.certificate),
-        }
         human = (f"lc fail at vertex {w.vertex}: neighborhood "
-                 f"{set(w.neighborhood)}: {_root_certificate_human(w.certificate)}")
-    _emit(args, payload, human)
+                 f"{set(w.neighborhood)}: {_root_human(w.certificate)}")
+    _emit(args, {"result": "fail", "condition": name, "witness": w}, human)
     return 1
 
 
@@ -376,26 +321,21 @@ def cmd_atom_graph(args) -> int:
     g = _load(args.graph)
     run = run_pipeline(g, args.basepoint)
     if run.wc_certificate is not None:
-        rc = RejectionCertificate("WC", run.wc_certificate)
-        _emit(args, _rejection_json(rc, run), _rejection_human(rc))
+        _emit(args, *_rejection(run.result, run))
         return 1
     sigma = run.sigma
-    classes = run.classes
+    payload = {**_doc(run.classes), "edges": sigma.edges}
     if args.dot:
-        print(_dot(sigma, "atom"))
-        return 0
-    payload = {
-        "basepoint": run.basepoint,
-        "classes": [[list(e) for e in cls] for cls in classes.classes],
-        "edges": [list(e) for e in sigma.edges],
-    }
-    lines = [f"atom graph: {sigma.n} classes, {len(sigma.edges)} edges "
-             f"(basepoint {run.basepoint})"]
-    for i, cls in enumerate(classes.classes):
-        lines.append(f"  class {i}: " + " ".join(f"{t}->{h}" for t, h in cls))
-    for i, j in sigma.edges:
-        lines.append(f"  {i} -- {j}")
-    _emit(args, payload, "\n".join(lines))
+        human = payload["dot"] = _dot(sigma, "atom")
+    else:
+        lines = [f"atom graph: {sigma.n} classes, {len(sigma.edges)} edges "
+                 f"(basepoint {run.basepoint})"]
+        for i, cls in enumerate(run.classes.classes):
+            lines.append(f"  class {i}: " + " ".join(f"{t}->{h}" for t, h in cls))
+        for i, j in sigma.edges:
+            lines.append(f"  {i} -- {j}")
+        human = "\n".join(lines)
+    _emit(args, payload, human)
     return 0
 
 
@@ -429,10 +369,7 @@ def cmd_oracle(args) -> int:
     g = _load(args.graph)
     result = oracle_decide(g, g.distances(), n_max=args.max_ground)
     if result.found:
-        _emit(args,
-              {"found": True, "m": result.m, "n": result.n,
-               "labels": [sorted(lab) for lab in result.labels],
-               "nodes_explored": result.nodes_explored},
+        _emit(args, _doc(result),
               f"found: m={result.m} n={result.n} labels="
               + " ".join("{" + ",".join(map(str, sorted(lab))) + "}" for lab in result.labels))
         return 0
@@ -453,9 +390,7 @@ def cmd_verify(args) -> int:
         _emit(args, {"result": "pass"}, "verified: labels are isometric")
         return 0
     _emit(args,
-          {"result": "fail",
-           "witness": {"x": verdict.x, "y": verdict.y,
-                       "sym_diff": verdict.sym_diff, "expected": verdict.expected}},
+          {"result": "fail", "witness": verdict},
           f"not isometric: |label({verdict.x}) ^ label({verdict.y})| = "
           f"{verdict.sym_diff}, expected {verdict.expected}")
     return 1
@@ -481,24 +416,21 @@ def parse_labels(text: str) -> list[frozenset[int]]:
 def cmd_basis_graph(args) -> int:
     g = _load(args.graph)
     report = is_basis_graph(g, g.distances())
-    wc_part: dict = {"result": "pass" if not isinstance(report.wc, WcCertificate) else "fail"}
-    if isinstance(report.wc, WcCertificate):
-        wc_part.update(_wc_certificate_json(report.wc))
-    ic_part: dict = {"result": "pass" if report.ic.passed else "fail"}
-    if not report.ic.passed:
-        w = report.ic.witness
-        ic_part["witness"] = {"u": w.u, "v": w.v, "interval": list(w.interval)}
+    wc, ic = report.wc, report.ic
     verdict = "yes" if report.passed else "no"
     human = [f"basis graph: {verdict}"]
-    if isinstance(report.wc, WcCertificate):
-        human.append("  wc fail: " + _wc_certificate_human(report.wc))
+    if isinstance(wc, WcCertificate):
+        wc_part = {"result": "fail", **_doc(wc)}
+        human.append("  wc fail: " + _wc_human(wc))
     else:
+        wc_part = {"result": "pass"}
         human.append("  wc pass")
-    if report.ic.passed:
+    if ic.passed:
+        ic_part = {"result": "pass"}
         human.append("  ic pass")
     else:
-        w = report.ic.witness
-        human.append(f"  ic fail: interval of ({w.u}, {w.v}) = {set(w.interval)}")
+        ic_part = {"result": "fail", "witness": ic.witness}
+        human.append(f"  ic fail: {_ic_human(ic.witness)}")
     _emit(args, {"result": verdict, "wc": wc_part, "ic": ic_part}, "\n".join(human))
     return 0 if report.passed else 1
 
@@ -507,24 +439,17 @@ def cmd_partial_cube(args) -> int:
     g = _load(args.graph)
     result = embed_hypercube(g, g.distances())
     if isinstance(result, HypercubeEmbedding):
-        _emit(args,
-              {"result": "yes", "dimension": result.dimension,
-               "labels": [sorted(lab) for lab in result.labels]},
+        _emit(args, {"result": "yes", **_doc(result)},
               "\n".join([f"hypercube embeddable: dimension={result.dimension}",
                          *_label_lines(result.labels)]))
         return 0
     if result.kind == "NOT_BIPARTITE":
-        _emit(args,
-              {"result": "no", "kind": result.kind,
-               "odd_cycle": list(result.odd_cycle)},
-              f"not hypercube embeddable: odd cycle {list(result.odd_cycle)}")
-        return 1
-    w = result.witness
-    _emit(args,
-          {"result": "no", "kind": result.kind, "edge": list(result.edge),
-           "half": list(result.half), "witness": {"x": w.x, "y": w.y, "z": w.z}},
-          f"not hypercube embeddable: edge {result.edge} side {set(result.half)} "
-          f"is not convex ({w.z} lies between {w.x} and {w.y})")
+        human = f"not hypercube embeddable: odd cycle {list(result.odd_cycle)}"
+    else:
+        w = result.witness
+        human = (f"not hypercube embeddable: edge {result.edge} side {set(result.half)} "
+                 f"is not convex ({w.z} lies between {w.x} and {w.y})")
+    _emit(args, {"result": "no", **_doc(result)}, human)
     return 1
 
 

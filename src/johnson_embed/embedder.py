@@ -51,8 +51,8 @@ class Embedding:
 
     m: int
     ground_set_size: int
-    labels: tuple[frozenset[int], ...]
     basepoint: int
+    labels: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
         return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
                            sigma=sigma, root=root, assignment=assignment,
                            internal=internal)
-    embedding = Embedding(m, ground, tuple(labels), b)
+    embedding = Embedding(m, ground, b, tuple(labels))
     return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
                        sigma=sigma, root=root, assignment=assignment,
                        embedding=embedding)

@@ -92,8 +92,8 @@ class WcCertificate:
     edge: tuple[int, int]
     component_count: int | None = None
     components: tuple[tuple[int, ...], ...] | None = None
-    half: tuple[int, ...] | None = None
     variant: str | None = None
+    half: tuple[int, ...] | None = None
     witness: ConvexityWitness | None = None
 
 

@@ -207,6 +207,15 @@ def test_atom_graph_dot(c5, capsys):
     assert "1 -- 2;" in out
 
 
+def test_atom_graph_dot_json_is_json_with_a_dot_key(c5, capsys):
+    assert main(["atom-graph", c5, "--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["atom-graph", c5, "--dot", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.pop("dot").startswith("graph atom {")
+    assert doc == plain
+
+
 def test_atom_graph_rejects_on_wc(k23, capsys):
     assert main(["atom-graph", k23]) == 1
     assert "wallspace" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Golden CLI output: one sha256 per graph over every subcommand's bytes.
 
-For each graph of the named corpus and the first 60 random graphs, the
-digest covers (argv, exit code, stdout) of embed (plain and --walls), check
-wc (plain and --all), check agc/ic/pc/lc, atom-graph, verify (the pipeline's
-labels when it accepts, singleton labels always), basis-graph and
-partial-cube, each with and without --json.  gen and oracle are left out.
+For each graph of the named corpus, the first 60 random graphs and a few
+graphs that reach the rarer certificates, the digest covers (argv, exit
+code, stdout) of embed (plain, --walls, and --basepoint 1 --paranoid), check
+wc (plain and --all), check agc (plain and --dot), check ic, check pc (plain
+and --all-squares), check lc, atom-graph, oracle --max-ground 6, verify (the
+pipeline's labels when it accepts, singleton labels always), basis-graph and
+partial-cube, each with and without --json.  gen is left out.
 
 Regenerate golden_cli.json after an intended output change with
 `PYTHONPATH=src python tests/test_golden_cli.py`.
@@ -19,7 +21,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from johnson_embed import Embedding, build_embedding
+from johnson_embed import Embedding, build_embedding, random_connected_graph
 from johnson_embed.cli import format_edge_list, main
 
 from conftest import named_corpus, random_corpus
@@ -29,15 +31,27 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 COMMANDS = (
     ["embed", "g.txt"],
     ["embed", "g.txt", "--walls"],
+    ["embed", "g.txt", "--basepoint", "1", "--paranoid"],
     ["check", "wc", "g.txt"],
     ["check", "wc", "g.txt", "--all"],
     ["check", "agc", "g.txt"],
+    ["check", "agc", "g.txt", "--dot"],
     ["check", "ic", "g.txt"],
     ["check", "pc", "g.txt"],
+    ["check", "pc", "g.txt", "--all-squares"],
     ["check", "lc", "g.txt"],
     ["atom-graph", "g.txt"],
+    ["oracle", "g.txt", "--max-ground", "6"],
     ["basis-graph", "g.txt"],
     ["partial-cube", "g.txt"],
+)
+
+# Random graphs whose certificates the corpora above never reach.
+RARE_CERTIFICATES = (
+    ("too_many_components", (6, 0.5, 18)),    # WC TOO_MANY_COMPONENTS
+    ("agc_diamond", (8, 0.6, 57)),            # AGC DIAMOND
+    ("agc_odd_cycle", (8, 0.5, 4)),           # AGC ODD_CYCLE_IN_ROOT
+    ("lc_odd_cycle", (7, 0.7, 51)),           # LC ODD_CYCLE_IN_ROOT
 )
 
 
@@ -71,7 +85,8 @@ def graph_digest(g) -> str:
 
 
 def corpus_digests() -> dict[str, str]:
-    return {name: graph_digest(g) for name, g in named_corpus() + random_corpus(60)}
+    rare = [(name, random_connected_graph(*args)) for name, args in RARE_CERTIFICATES]
+    return {name: graph_digest(g) for name, g in named_corpus() + random_corpus(60) + rare}
 
 
 def test_cli_bytes_match_golden(tmp_path, monkeypatch):
