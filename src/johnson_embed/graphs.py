@@ -6,9 +6,11 @@ construction.  A DistanceMatrix holds shortest-path hop distances; each row
 is computed by one BFS the first time it is read and then kept, so a scan
 that stops early pays only for the rows it read.  One matrix per graph is
 shared by every stage, and its row 0 is the BFS that checked the graph
-connected.  is_convex decides a set from the rows of its boundary members
-(those with an outside neighbour) and finds a witness from the row of one
-BFS source.
+connected.  The matrix is the graph's metric core: it also keeps each
+distinct edge split once (see walls.splits), so the split lives and dies
+with the rows it was read from.  is_convex decides a set from the rows of
+its boundary members (those with an outside neighbour) and finds a witness
+from the row of one BFS source.
 
 Graphs read from user input must be connected.  Internally constructed
 graphs (class adjacency graphs, neighborhood subgraphs, reconstructed roots)
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter, lt
 
 
@@ -71,18 +73,20 @@ class Graph:
     def __init__(self, n: int, edges, *, require_connected: bool = True):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
+        # Edge (u, v), u < v, is keyed u * n + v: ints sort and hash faster
+        # than pairs, and divmod by n gives the pair back in sorted order.
+        keys: set[int] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex out of range in edge ({u}, {v})")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
+            key = u * n + v if u < v else v * n + u
+            if key in keys:
+                raise GraphError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            keys.add(key)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self.edges: tuple[tuple[int, int], ...] = tuple(map(divmod, sorted(keys), repeat(n)))
         # Appending in sorted edge order leaves every neighbor list ascending:
         # v's smaller neighbors u arrive with edges (u, v), all before (v, w).
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -90,7 +94,8 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        self._edge_set = frozenset(seen)
+        # Pairs, not int keys: has_edge may be asked about any pair of ints.
+        self._edge_set = frozenset(self.edges)
         self._row0: tuple[int, ...] | None = None
         self._dist: DistanceMatrix | None = None
         if require_connected:
@@ -125,14 +130,17 @@ class DistanceMatrix(dict):
     level-synchronous BFS the first time d[u] is read and kept, so later
     reads are plain dict lookups.  Reading a vertex outside 0..n-1 raises
     IndexError; a row that leaves some vertex unreached raises GraphError.
+    It also keeps each distinct edge split once, for walls.splits.
     """
 
-    __slots__ = ("n", "_neighbors")
+    __slots__ = ("n", "_neighbors", "_splits")
 
     def __init__(self, g: Graph):
         super().__init__()
         self.n = g.n
         self._neighbors = g.neighbors
+        # walls.splits: signature row d[u] - d[v] -> (w_uv, w_vu, eq components).
+        self._splits: dict = {}
 
     def __missing__(self, s: int) -> tuple[int, ...]:
         if not 0 <= s < self.n:

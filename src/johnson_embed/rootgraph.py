@@ -15,6 +15,7 @@ ambiguity and the only reading with a bipartite root.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -159,12 +160,18 @@ def bipartite_root(g: Graph) -> BipartiteRoot | RootCertificate:
 
 
 def _verify_line_graph(g: Graph, raw_edges: list[tuple[int, int]]) -> None:
-    # Input vertices must be adjacent exactly when their root edges share an end.
-    for x, y in combinations(range(g.n), 2):
-        shared = bool(set(raw_edges[x]) & set(raw_edges[y]))
-        if shared != g.has_edge(x, y):
-            raise ConsistencyError(
-                f"root reconstruction broke adjacency of input vertices {x}, {y}")
+    # Input vertices must be adjacent exactly when their root edges share an
+    # end: the pairs of input vertices at each root vertex must be g's edges.
+    at_root: defaultdict[int, list[int]] = defaultdict(list)
+    for x, ends in enumerate(raw_edges):
+        for r in set(ends):
+            at_root[r].append(x)
+    expected = {pair for xs in at_root.values() for pair in combinations(xs, 2)}
+    broken = expected.symmetric_difference(g.edges)
+    if broken:
+        x, y = min(broken)
+        raise ConsistencyError(
+            f"root reconstruction broke adjacency of input vertices {x}, {y}")
 
 
 def _pick_b_side(root: Graph, colors: tuple[int, ...]) -> set[int]:

@@ -9,14 +9,18 @@ data plus the deduplicated walls with multiplicities.
 
 This module is the only one that splits edges.  check_wc and check_wc_all
 are one scan that splits every edge once, in edge order.  Edges of one Θ
-class share their split, so within a scan each distinct half is tested for
-convexity once, and an edge whose split already passed adds no walls.  The
-later stages (Θ classes, the hypercube embedder) read the WallSystem.
+class share their split, and the metric core keeps each distinct split once:
+splits memoizes it on the distance matrix, so only the first edge of a class
+runs w_sets and induced_components and the rest share its tuples.  Within a
+scan each distinct half is tested for convexity once, and an edge whose
+split already passed adds no walls.  The later stages (Θ classes, the
+hypercube embedder) read the WallSystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .graphs import (
     ConsistencyError,
@@ -61,12 +65,31 @@ class EdgeWalls:
 
 
 def splits(g: Graph, d: DistanceMatrix, edge: tuple[int, int]) -> EdgeWalls:
-    """Compute the halfspace split of the given oriented edge."""
+    """Compute the halfspace split of the given oriented edge.
+
+    The split is memoized on d.  Its signature d[u] - d[v] has entries in
+    {-1, 0, 1} that place every vertex, so it fixes the split, and its
+    negation is the same split oriented vu.  Each distinct split runs w_sets
+    and induced_components once; every other edge of its Θ class gets the
+    same tuples, swapped for the opposite orientation.
+    """
     u, v = edge
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    w_uv, w_vu, w_eq = w_sets(d, u, v)
-    return EdgeWalls((u, v), w_uv, w_vu, induced_components(g, w_eq))
+    memo = d._splits
+    signature = tuple(map(sub, d[u], d[v]))
+    known = memo.get(signature)
+    if known is not None:
+        w_uv, w_vu, comps = known
+    else:
+        known = memo.get(tuple(map(sub, d[v], d[u])))
+        if known is not None:
+            w_vu, w_uv, comps = known
+        else:
+            w_uv, w_vu, w_eq = w_sets(d, u, v)
+            comps = induced_components(g, w_eq)
+            memo[signature] = w_uv, w_vu, comps
+    return EdgeWalls((u, v), w_uv, w_vu, comps)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from johnson_embed import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    distance_matrix,
     embed_hypercube,
     hypercube_graph,
     johnson_graph,
@@ -322,21 +324,36 @@ def test_pipeline_agrees_with_hypercube_on_bipartite(corpus_decisions):
             assert isinstance(cube, HypercubeCertificate), name
 
 
-def test_build_embedding_splits_each_edge_once(monkeypatch):
-    # The wallspace scan splits every edge; the Θ classes reuse its splits.
-    original = walls.w_sets
-    calls = []
+def test_build_embedding_computes_each_distinct_split_once(monkeypatch):
+    # The wallspace scan splits every edge once; edges that share a split
+    # (a Θ class) share one w_sets and one induced_components call, and the
+    # Θ classes reuse the scan's splits.
+    graphs = {"J(3,6)": johnson_graph(3, 6), "Petersen": petersen_graph()}
+    # Reference with no memo: one unoriented split per pair of strict sides.
+    distinct = {}
+    for name, g in graphs.items():
+        d = distance_matrix(g)
+        distinct[name] = len({tuple(sorted(walls.w_sets(d, u, v)[:2]))
+                              for u, v in g.edges})
+    assert distinct == {"J(3,6)": 15, "Petersen": 15}
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    calls = Counter()
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("johnson_embed"):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    for g in (johnson_graph(3, 6), petersen_graph()):
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for fn in (walls.splits, walls.w_sets, walls.induced_components):
+        wrapper = counted(fn.__name__, fn)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("johnson_embed"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    for name, g in graphs.items():
         calls.clear()
         assert isinstance(build_embedding(g), Embedding)
-        assert len(calls) == len(g.edges)
+        assert calls == {"splits": len(g.edges), "w_sets": distinct[name],
+                         "induced_components": distinct[name]}, name

@@ -1,7 +1,11 @@
 import random
+from itertools import combinations
+
+import pytest
 
 from johnson_embed import (
     BipartiteRoot,
+    ConsistencyError,
     Graph,
     RootCertificate,
     bipartite_root,
@@ -14,6 +18,8 @@ from johnson_embed import (
     path_graph,
     petersen_graph,
 )
+
+from johnson_embed.rootgraph import _verify_line_graph
 
 from helpers import find_isomorphism
 
@@ -162,6 +168,44 @@ def test_line_graph_round_trip_on_random_bipartite():
         got = sorted(d for d in (result.root.degree(v)
                                  for v in range(result.root.n)) if d > 0)
         assert want == got, (trial, edges)
+
+
+def reference_broken_pair(g, raw_edges):
+    """First input pair, in lexicographic order, whose adjacency in g differs
+    from whether their root edges share an end; None if there is none."""
+    for x, y in combinations(range(g.n), 2):
+        if bool(set(raw_edges[x]) & set(raw_edges[y])) != g.has_edge(x, y):
+            return x, y
+    return None
+
+
+def test_verify_line_graph_names_first_broken_pair():
+    # Tamper with the root edges of random bipartite line graphs: the check
+    # must name the same pair as the all-pairs reference, or pass with it.
+    rng = random.Random(11)
+    broke = 0
+    for trial in range(200):
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < 0.6]
+        if not edges:
+            continue
+        lg, edge_order = line_graph(Graph(a + b, edges, require_connected=False))
+        raw = list(edge_order)
+        for _ in range(rng.randint(0, 3)):
+            x = rng.randrange(len(raw))
+            ends = list(raw[x])
+            ends[rng.randrange(2)] = rng.randrange(a + b + 2)
+            raw[x] = tuple(ends)
+        pair = reference_broken_pair(lg, raw)
+        if pair is None:
+            _verify_line_graph(lg, raw)
+            continue
+        broke += 1
+        with pytest.raises(ConsistencyError) as exc:
+            _verify_line_graph(lg, raw)
+        assert str(exc.value) == (
+            f"root reconstruction broke adjacency of input vertices {pair[0]}, {pair[1]}")
+    assert broke > 50
 
 
 def test_line_graph_shapes():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
     ConvexityWitness,
+    EdgeWalls,
+    Graph,
     WallSystem,
     WcCertificate,
     check_wc,
@@ -10,9 +13,12 @@ from johnson_embed import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    distance_matrix,
+    induced_components,
     is_convex,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     splits,
     w_sets,
 )
@@ -189,3 +195,47 @@ def test_complete_graph_walls():
     singles = sorted(w.halves[0] if len(w.halves[0]) == 1 else w.halves[1]
                      for w in ws.walls)
     assert singles == [(0,), (1,), (2,), (3,)]
+
+
+def _times_k2(g):
+    """The Cartesian product g □ K2: vertex (x, i) is x + i * g.n."""
+    n = g.n
+    edges = [(x, x + n) for x in range(n)]
+    edges += [(u + i * n, v + i * n) for u, v in g.edges for i in (0, 1)]
+    return Graph(2 * n, edges)
+
+
+@st.composite
+def edges_in_random_order(draw):
+    """A random connected graph (sometimes times K2, so that splits repeat)
+    and its edges in a random order, each in a random orientation."""
+    n = draw(st.integers(2, 15))
+    p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+    g = random_connected_graph(n, p, seed=draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        g = _times_k2(g)
+    edges = draw(st.permutations(g.edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return g, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges_in_random_order())
+def test_splits_memo_matches_reference_and_shares_tuples(case):
+    g, oriented = case
+    d = g.distances()
+    ref_d = distance_matrix(g)
+    first = {}
+    for u, v in oriented:
+        ew = splits(g, d, (u, v))
+        w_uv, w_vu, w_eq = w_sets(ref_d, u, v)
+        assert ew == EdgeWalls((u, v), w_uv, w_vu, induced_components(g, w_eq))
+        key = (w_uv, w_vu) if w_uv < w_vu else (w_vu, w_uv)
+        earlier = first.setdefault(key, ew)
+        if earlier is not ew:
+            # A repeated split reuses the first edge's tuples, swapped when
+            # this edge runs the other way.
+            same_way = earlier.w_uv == w_uv
+            assert ew.w_uv is (earlier.w_uv if same_way else earlier.w_vu)
+            assert ew.w_vu is (earlier.w_vu if same_way else earlier.w_uv)
+            assert ew.eq_components is earlier.eq_components
