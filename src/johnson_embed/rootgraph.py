@@ -84,15 +84,22 @@ def krausz_partition(g: Graph) -> KrauszPartition | RootCertificate:
     cert = find_claw_or_diamond(g)
     if cert is not None:
         return cert
-    cliques: set[frozenset[int]] = set()
+    cliques: list[tuple[int, ...]] = []
+    covered: set[tuple[int, int]] = set()
     for u, v in g.edges:
-        clique = frozenset({u, v} | {w for w in g.neighbors[u] if g.has_edge(w, v)})
-        for a, b in combinations(sorted(clique), 2):
-            if not g.has_edge(a, b):
+        # An edge of a clique already found lies in no other: an extra common
+        # neighbour of its ends would form a diamond with a clique member or
+        # make that clique non-maximal.
+        if (u, v) in covered:
+            continue
+        clique = sorted({u, v} | {w for w in g.neighbors[u] if g.has_edge(w, v)})
+        for pair in combinations(clique, 2):
+            if not g.has_edge(*pair):
                 raise ConsistencyError(
                     f"common neighborhood of edge ({u}, {v}) is not a clique")
-        cliques.add(clique)
-    ordered = tuple(sorted(tuple(sorted(c)) for c in cliques))
+            covered.add(pair)
+        cliques.append(tuple(clique))
+    ordered = tuple(sorted(cliques))
     membership: list[list[int]] = [[] for _ in range(g.n)]
     for idx, clique in enumerate(ordered):
         for v in clique:

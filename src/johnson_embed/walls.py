@@ -15,6 +15,21 @@ runs w_sets and induced_components and the rest share its tuples.  Within a
 scan each distinct half is tested for convexity once, and an edge whose
 split already passed adds no walls.  The later stages (Θ classes, the
 hypercube embedder) read the WallSystem.
+
+A split with no equidistant vertex, which every split of a bipartite graph
+is, is decided by its crossing edges, those yz with y in W_uv and z in W_vu
+(Djoković's lemma).  If every crossing edge has the same split, W_yz = W_uv,
+both sides are convex: a member x of W_uv that leaked through a crossing
+edge (y, z), d(x, z) < d(x, y) as in graphs.is_convex, would lie in
+W_zy = W_vu; likewise for W_vu.  In a bipartite graph the converse holds:
+no vertex is equidistant from y and z, so an x in W_uv nearer z than y would
+put z on a shortest x-y path, against the convexity of W_uv.  The scan
+therefore compares each crossing edge's signature with the split's own
+before any convexity test.  When all match, neither side goes through
+is_convex, and the crossing edges, the split's whole Θ class, are recorded
+on the distance matrix.  When one differs (outside bipartite graphs that can
+happen even when both sides are convex), the sides go through is_convex as
+before, so every certificate is the one is_convex gives.
 """
 
 from __future__ import annotations
@@ -67,29 +82,74 @@ class EdgeWalls:
 def splits(g: Graph, d: DistanceMatrix, edge: tuple[int, int]) -> EdgeWalls:
     """Compute the halfspace split of the given oriented edge.
 
-    The split is memoized on d.  Its signature d[u] - d[v] has entries in
+    The split is memoized on d.  Its signature d[t] - d[h] has entries in
     {-1, 0, 1} that place every vertex, so it fixes the split, and its
-    negation is the same split oriented vu.  Each distinct split runs w_sets
-    and induced_components once; every other edge of its Θ class gets the
-    same tuples, swapped for the opposite orientation.
+    negation is the same split oriented ht.  The signature is taken with the
+    tail t on vertex 0's side, so every edge of a Θ class finds the entry
+    its first edge stored; only a split with vertex 0 equidistant has no such
+    side and is looked up both ways.  Each distinct split runs w_sets and
+    induced_components once; every other edge of its class gets the same
+    tuples, swapped for the opposite orientation.
+
+    By Djoković's lemma (module docstring), a split with no equidistant
+    vertex whose crossing edges all have its signature has convex sides.
+    The scan's Θ class test records those edges on d, and splits answers
+    them from the record without a signature.
     """
     u, v = edge
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    memo = d._splits
+    row0 = d[0]
+    flip = row0[v] < row0[u]
+    t, h = (v, u) if flip else (u, v)
+    known = d._edge_splits.get((t, h))
+    if known is None:
+        memo = d._splits
+        signature = tuple(map(sub, d[t], d[h]))
+        known = memo.get(signature)
+        if known is None and row0[t] == row0[h]:
+            reverse = memo.get(tuple(map(sub, d[h], d[t])))
+            if reverse is not None:
+                known = reverse[1], reverse[0], reverse[2]
+        if known is None:
+            w_th, w_ht, w_eq = w_sets(d, t, h)
+            known = memo[signature] = w_th, w_ht, induced_components(g, w_eq)
+    w_th, w_ht, comps = known
+    if flip:
+        return EdgeWalls((u, v), w_ht, w_th, comps)
+    return EdgeWalls((u, v), w_th, w_ht, comps)
+
+
+def _class_passes(d: DistanceMatrix, ew: EdgeWalls) -> bool:
+    """Decide a split with no equidistant vertex by its Θ class.
+
+    True when every crossing edge, listed from the smaller side in ascending
+    order, has the split's own signature: both sides are then convex (see
+    the module docstring), and each crossing edge's split is recorded on d,
+    sharing ew's tuples.  False, at the first edge that differs, records
+    nothing.
+    """
+    (u, v), small, large = ew.edge, ew.w_uv, ew.w_vu
+    if len(large) < len(small):
+        u, v, small, large = v, u, large, small
     signature = tuple(map(sub, d[u], d[v]))
-    known = memo.get(signature)
-    if known is not None:
-        w_uv, w_vu, comps = known
-    else:
-        known = memo.get(tuple(map(sub, d[v], d[u])))
-        if known is not None:
-            w_vu, w_uv, comps = known
-        else:
-            w_uv, w_vu, w_eq = w_sets(d, u, v)
-            comps = induced_components(g, w_eq)
-            memo[signature] = w_uv, w_vu, comps
-    return EdgeWalls((u, v), w_uv, w_vu, comps)
+    inside = set(small)
+    neighbors = d._neighbors
+    crossing: list[tuple[int, int]] = []
+    for y in small:
+        out = [z for z in neighbors[y] if z not in inside]
+        if out:
+            dy = d[y]
+            for z in out:
+                if tuple(map(sub, dy, d[z])) != signature:
+                    return False
+                crossing.append((y, z))
+    # Keyed tail-first with the tail on vertex 0's side, as splits looks up.
+    if small[0] != 0:
+        crossing = [(z, y) for y, z in crossing]
+        small, large = large, small
+    d._edge_splits.update(dict.fromkeys(crossing, (small, large, ew.eq_components)))
+    return True
 
 
 @dataclass(frozen=True)
@@ -192,7 +252,11 @@ def _scan(g: Graph, d: DistanceMatrix):
 
     result is the edge's two walls or its certificate, or None when an
     earlier edge had the same split and passed: the split's strict sides fix
-    its equidistant components, so the walls and verdicts would repeat.
+    its equidistant components, so the walls and verdicts would repeat.  A
+    new split with no equidistant vertex whose sides have no verdict yet
+    first gets its Θ class test; if that passes, both sides are convex and
+    is_convex is not called.  The passed splits are this scan's own, so a
+    second scan over the same d builds every wall again.
     """
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     passed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -202,6 +266,9 @@ def _scan(g: Graph, d: DistanceMatrix):
         if key in passed:
             yield ew, None
             continue
+        if (not ew.eq_components and ew.w_uv not in verdicts
+                and ew.w_vu not in verdicts and _class_passes(d, ew)):
+            verdicts[ew.w_uv] = verdicts[ew.w_vu] = True
         result = _walls_from_splits(d, ew, verdicts)
         if not isinstance(result, WcCertificate):
             passed.add(key)

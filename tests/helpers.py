@@ -41,6 +41,14 @@ def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:
     return None
 
 
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """The Cartesian product g □ h: vertex (x, y) is x + y * g.n."""
+    n = g.n
+    edges = [(u + y * n, v + y * n) for u, v in g.edges for y in range(h.n)]
+    edges += [(x + y * n, x + z * n) for y, z in h.edges for x in range(n)]
+    return Graph(n * h.n, edges)
+
+
 def two_colorable(g: Graph) -> bool:
     """Brute-force 2-colorability over all assignments, for small graphs only."""
     assert g.n <= 20

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from itertools import combinations
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
     Embedding,
+    Graph,
     HypercubeCertificate,
     HypercubeEmbedding,
     IsometryWitness,
@@ -26,6 +28,8 @@ from johnson_embed import (
     verify_embedding,
     walls,
 )
+
+from helpers import cartesian_product
 
 
 def assert_isometric(g, emb):
@@ -289,10 +293,6 @@ def test_embed_hypercube_trees_and_even_cycles():
 
 
 def test_random_trees_embed_with_one_class_per_edge():
-    import random
-
-    from johnson_embed import Graph
-
     rng = random.Random(11)
     for t in range(50):
         n = rng.randint(2, 10)
@@ -324,19 +324,14 @@ def test_pipeline_agrees_with_hypercube_on_bipartite(corpus_decisions):
             assert isinstance(cube, HypercubeCertificate), name
 
 
-def test_build_embedding_computes_each_distinct_split_once(monkeypatch):
-    # The wallspace scan splits every edge once; edges that share a split
-    # (a Θ class) share one w_sets and one induced_components call, and the
-    # Θ classes reuse the scan's splits.
-    graphs = {"J(3,6)": johnson_graph(3, 6), "Petersen": petersen_graph()}
-    # Reference with no memo: one unoriented split per pair of strict sides.
-    distinct = {}
-    for name, g in graphs.items():
-        d = distance_matrix(g)
-        distinct[name] = len({tuple(sorted(walls.w_sets(d, u, v)[:2]))
-                              for u, v in g.edges})
-    assert distinct == {"J(3,6)": 15, "Petersen": 15}
+def _distinct_splits(g):
+    """Unoriented splits, one per pair of strict sides, from a memo-free reference."""
+    d = distance_matrix(g)
+    return len({tuple(sorted(walls.w_sets(d, u, v)[:2])) for u, v in g.edges})
 
+
+def _count_calls(monkeypatch, fns):
+    """Count calls to each of fns through every binding in johnson_embed."""
     calls = Counter()
 
     def counted(name, original):
@@ -345,13 +340,44 @@ def test_build_embedding_computes_each_distinct_split_once(monkeypatch):
             return original(*args)
         return wrapper
 
-    for fn in (walls.splits, walls.w_sets, walls.induced_components):
+    for fn in fns:
         wrapper = counted(fn.__name__, fn)
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("johnson_embed"):
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_build_embedding_computes_each_distinct_split_once(monkeypatch):
+    # The wallspace scan splits every edge once; edges that share a split
+    # (a Θ class) share one w_sets and one induced_components call, and the
+    # Θ classes reuse the scan's splits.
+    graphs = {"J(3,6)": johnson_graph(3, 6), "Petersen": petersen_graph()}
+    distinct = {name: _distinct_splits(g) for name, g in graphs.items()}
+    assert distinct == {"J(3,6)": 15, "Petersen": 15}
+    calls = _count_calls(monkeypatch, (walls.splits, walls.w_sets, walls.induced_components))
+    for name, g in graphs.items():
+        calls.clear()
+        assert isinstance(build_embedding(g), Embedding)
+        assert calls == {"splits": len(g.edges), "w_sets": distinct[name],
+                         "induced_components": distinct[name]}, name
+
+
+def test_bipartite_embedding_decides_every_split_by_its_class(monkeypatch):
+    # Every split of a bipartite graph has no equidistant vertex, and on a
+    # partial cube every crossing edge shares it, so the Θ class test decides
+    # each split and no half goes through is_convex.
+    rng = random.Random(7)
+    tree = Graph(30, [(rng.randrange(v), v) for v in range(1, 30)])
+    graphs = {"Q4": hypercube_graph(4),
+              "C6xC6": cartesian_product(cycle_graph(6), cycle_graph(6)),
+              "tree": tree}
+    distinct = {name: _distinct_splits(g) for name, g in graphs.items()}
+    assert distinct == {"Q4": 4, "C6xC6": 6, "tree": 29}
+    calls = _count_calls(monkeypatch, (walls.splits, walls.w_sets,
+                                       walls.induced_components, walls.is_convex))
     for name, g in graphs.items():
         calls.clear()
         assert isinstance(build_embedding(g), Embedding)

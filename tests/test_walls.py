@@ -13,6 +13,7 @@ from johnson_embed import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     distance_matrix,
     induced_components,
     is_convex,
@@ -22,7 +23,10 @@ from johnson_embed import (
     splits,
     w_sets,
 )
+from johnson_embed import walls
 from johnson_embed.walls import DOUBLE_PRIME, PRIME
+
+from helpers import cartesian_product
 
 
 def test_w_sets_cycle5():
@@ -197,14 +201,6 @@ def test_complete_graph_walls():
     assert singles == [(0,), (1,), (2,), (3,)]
 
 
-def _times_k2(g):
-    """The Cartesian product g □ K2: vertex (x, i) is x + i * g.n."""
-    n = g.n
-    edges = [(x, x + n) for x in range(n)]
-    edges += [(u + i * n, v + i * n) for u, v in g.edges for i in (0, 1)]
-    return Graph(2 * n, edges)
-
-
 @st.composite
 def edges_in_random_order(draw):
     """A random connected graph (sometimes times K2, so that splits repeat)
@@ -213,7 +209,7 @@ def edges_in_random_order(draw):
     p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
     g = random_connected_graph(n, p, seed=draw(st.integers(0, 10**6)))
     if draw(st.booleans()):
-        g = _times_k2(g)
+        g = cartesian_product(g, path_graph(2))
     edges = draw(st.permutations(g.edges))
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     return g, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
@@ -239,3 +235,67 @@ def test_splits_memo_matches_reference_and_shares_tuples(case):
             assert ew.w_uv is (earlier.w_uv if same_way else earlier.w_vu)
             assert ew.w_vu is (earlier.w_vu if same_way else earlier.w_uv)
             assert ew.eq_components is earlier.eq_components
+
+
+@st.composite
+def bipartite_factor(draw):
+    """A random tree, even cycle or hypercube, or a random tree with extra
+    edges between its two colour classes (bipartite, mostly not a partial cube)."""
+    kind = draw(st.sampled_from(["tree", "cycle", "cube", "tree+"]))
+    if kind == "cycle":
+        return cycle_graph(2 * draw(st.integers(2, 6)))
+    if kind == "cube":
+        return hypercube_graph(draw(st.integers(1, 3)))
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if kind == "tree+":
+        depth = [0] * n
+        for u, v in sorted(edges, key=lambda e: e[1]):
+            depth[v] = depth[u] + 1
+        across = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if (depth[u] + depth[v]) % 2]
+        if across:
+            edges |= set(draw(st.lists(st.sampled_from(across), max_size=4)))
+    return Graph(n, sorted(edges))
+
+
+@st.composite
+def class_test_graphs(draw):
+    """A bipartite graph (a factor, or the product of two), flagged True, or a
+    random connected graph, flagged False."""
+    kind = draw(st.sampled_from(["bipartite", "product", "random"]))
+    if kind == "random":
+        n = draw(st.integers(2, 15))
+        p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+        return random_connected_graph(n, p, seed=draw(st.integers(0, 10**6))), False
+    g = draw(bipartite_factor())
+    if kind == "product":
+        g = cartesian_product(g, draw(bipartite_factor().filter(lambda h: h.n <= 8)))
+    return g, True
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_test_graphs())
+def test_class_test_decides_splits_with_no_equidistant_vertex(case):
+    g, bipartite = case
+    d = g.distances()
+    for edge in g.edges:
+        ew = splits(g, d, edge)
+        if ew.eq_components:
+            continue
+        passes = walls._class_passes(d, ew)
+        convex = is_convex(d, ew.w_uv) is True and is_convex(d, ew.w_vu) is True
+        if passes:
+            assert convex, edge
+        if bipartite:
+            # Convex sides force every crossing edge's split.
+            assert passes == convex, edge
+    ref_d = distance_matrix(g)
+    for (t, h), entry in d._edge_splits.items():
+        w_th, w_ht, w_eq = w_sets(ref_d, t, h)
+        assert entry == (w_th, w_ht, induced_components(g, w_eq))
+        assert splits(g, d, (h, t)) == EdgeWalls((h, t), w_ht, w_th, entry[2])
+    # The recorded edges and a first scan leave a second scan over d intact.
+    first = check_wc(g, d)
+    assert check_wc(g, d) == first == check_wc(g, ref_d)
+    assert check_wc_all(g, d) == check_wc_all(g, distance_matrix(g))
