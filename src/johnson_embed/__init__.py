@@ -3,19 +3,16 @@
 The decision procedure either produces vertex labels realizing the metric
 (each edge flips one element of an m-subset, distances scale by two under
 symmetric difference) or a certificate naming the structural obstruction.
+
+The package root exports the entry points the README documents; every other
+name is imported from the module that defines it, for example
+``from johnson_embed.walls import splits``.
 """
 
-from .atom import ThetaClasses, atom_graph, scalar, theta1_classes, vertical_edges
+from .atom import atom_graph, theta1_classes
 from .embedder import (
     Embedding,
-    HypercubeCertificate,
-    HypercubeEmbedding,
-    InternalWitness,
-    IsometryWitness,
-    LabelAssignment,
-    PipelineRun,
     RejectionCertificate,
-    bfs_tree,
     build_embedding,
     embed_hypercube,
     run_pipeline,
@@ -32,131 +29,40 @@ from .families import (
     petersen_graph,
     random_connected_graph,
 )
-from .graphs import (
-    ConsistencyError,
-    ConvexityWitness,
-    DistanceMatrix,
-    Graph,
-    GraphError,
-    OddCycleWitness,
-    ParseError,
-    TwoColoring,
-    distance_matrix,
-    induced_components,
-    induced_subgraph,
-    interval,
-    is_bipartite,
-    is_convex,
-    parse_graph,
-)
-from .matroid import (
-    BasisGraphReport,
-    ConditionReport,
-    IcWitness,
-    LcWitness,
-    PcWitness,
-    check_ic,
-    check_lc,
-    check_pc,
-    is_basis_graph,
-    squares,
-)
-from .oracle import OracleResult, brute_force_embed, oracle_decide
-from .rootgraph import (
-    BipartiteRoot,
-    KrauszPartition,
-    RootCertificate,
-    bipartite_root,
-    find_claw_or_diamond,
-    krausz_partition,
-    line_graph,
-)
-from .walls import (
-    EdgeWalls,
-    SystemWall,
-    Wall,
-    WallSystem,
-    WcCertificate,
-    check_wc,
-    check_wc_all,
-    check_wc_edge,
-    splits,
-    w_sets,
-)
+from .graphs import ConsistencyError, Graph, GraphError, ParseError, parse_graph
+from .matroid import is_basis_graph
+from .oracle import oracle_decide
+from .rootgraph import bipartite_root
+from .walls import WcCertificate, check_wc
 
 __all__ = [
-    "BasisGraphReport",
-    "BipartiteRoot",
-    "ConditionReport",
     "ConsistencyError",
-    "ConvexityWitness",
-    "DistanceMatrix",
-    "EdgeWalls",
     "Embedding",
     "Graph",
     "GraphError",
-    "HypercubeCertificate",
-    "HypercubeEmbedding",
-    "IcWitness",
-    "InternalWitness",
-    "IsometryWitness",
-    "KrauszPartition",
-    "LabelAssignment",
-    "LcWitness",
-    "OddCycleWitness",
-    "OracleResult",
     "ParseError",
-    "PcWitness",
-    "PipelineRun",
     "RejectionCertificate",
-    "RootCertificate",
-    "SystemWall",
-    "ThetaClasses",
-    "TwoColoring",
-    "Wall",
-    "WallSystem",
     "WcCertificate",
     "atom_graph",
-    "bfs_tree",
     "bipartite_root",
-    "brute_force_embed",
     "build_embedding",
-    "check_ic",
-    "check_lc",
-    "check_pc",
     "check_wc",
-    "check_wc_all",
-    "check_wc_edge",
     "complete_bipartite_graph",
     "complete_graph",
     "cycle_graph",
-    "distance_matrix",
     "embed_hypercube",
-    "find_claw_or_diamond",
     "gen_family",
     "hypercube_graph",
-    "induced_components",
-    "induced_subgraph",
-    "interval",
     "is_basis_graph",
-    "is_bipartite",
-    "is_convex",
     "johnson_graph",
-    "krausz_partition",
-    "line_graph",
     "oracle_decide",
     "parse_graph",
     "path_graph",
     "petersen_graph",
     "random_connected_graph",
     "run_pipeline",
-    "scalar",
-    "splits",
-    "squares",
     "theta1_classes",
-    "vertical_edges",
     "verify_embedding",
-    "w_sets",
 ]
 
 __version__ = "0.1.0"

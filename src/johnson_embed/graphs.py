@@ -64,12 +64,12 @@ class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
     Adjacency is stored as per-vertex sorted neighbor tuples plus a set of
-    normalized edge pairs for constant-time lookup.  The distance matrix is
+    int edge keys for constant-time lookup.  The distance matrix is
     computed lazily and cached; the connectivity check's BFS becomes its
     row 0.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "edges", "neighbors", "_edge_set", "_row0", "_dist")
+    __slots__ = ("n", "edges", "neighbors", "_edge_keys", "_row0", "_dist")
 
     def __init__(self, n: int, edges, *, require_connected: bool = True):
         if n < 0:
@@ -95,8 +95,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        # Pairs, not int keys: has_edge may be asked about any pair of ints.
-        self._edge_set = frozenset(self.edges)
+        self._edge_keys = keys
         self._row0: tuple[int, ...] | None = None
         self._dist: DistanceMatrix | None = None
         if require_connected:
@@ -109,7 +108,11 @@ class Graph:
             self._row0 = tuple(row)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        if u > v:
+            u, v = v, u
+        # Both ends in range keep the key unique: with n = 10, the key of
+        # (0, 15) is that of edge (1, 5).
+        return 0 <= u and v < self.n and u * self.n + v in self._edge_keys
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])

@@ -14,11 +14,8 @@ from johnson_embed import (
     RejectionCertificate,
     WcCertificate,
     atom_graph,
-    bfs_tree,
     bipartite_root,
     build_embedding,
-    check_lc,
-    check_pc,
     check_wc,
     complete_bipartite_graph,
     complete_graph,
@@ -26,19 +23,20 @@ from johnson_embed import (
     embed_hypercube,
     hypercube_graph,
     is_basis_graph,
-    is_convex,
     johnson_graph,
-    line_graph,
     oracle_decide,
     path_graph,
     petersen_graph,
     run_pipeline,
-    scalar,
-    splits,
     theta1_classes,
     verify_embedding,
 )
-from johnson_embed.embedder import HypercubeEmbedding
+from johnson_embed.atom import scalar
+from johnson_embed.embedder import HypercubeEmbedding, bfs_tree
+from johnson_embed.graphs import is_convex
+from johnson_embed.matroid import check_lc, check_pc
+from johnson_embed.rootgraph import line_graph
+from johnson_embed.walls import splits
 
 from helpers import find_isomorphism
 

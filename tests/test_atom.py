@@ -7,10 +7,9 @@ from johnson_embed import (
     cycle_graph,
     path_graph,
     petersen_graph,
-    scalar,
     theta1_classes,
-    vertical_edges,
 )
+from johnson_embed.atom import scalar, vertical_edges
 
 
 def classes_of(g, b=0):

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from johnson_embed.cli import format_edge_list, main, parse_labels
-from johnson_embed import IsometryWitness, cli, cycle_graph, embedder, graphs
+from johnson_embed import cli, cycle_graph, embedder, graphs
+from johnson_embed.embedder import IsometryWitness
 from johnson_embed.graphs import ConsistencyError
 
 

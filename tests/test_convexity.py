@@ -5,20 +5,12 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
-    ConvexityWitness,
     Graph,
-    WallSystem,
     WcCertificate,
     check_wc,
-    check_wc_all,
     cycle_graph,
     embed_hypercube,
-    induced_components,
-    is_bipartite,
-    is_convex,
     random_connected_graph,
-    splits,
-    w_sets,
 )
 from johnson_embed import walls
 from johnson_embed.embedder import (
@@ -26,7 +18,14 @@ from johnson_embed.embedder import (
     HypercubeCertificate,
     HypercubeEmbedding,
 )
-from johnson_embed.graphs import OddCycleWitness
+from johnson_embed.graphs import (
+    ConvexityWitness,
+    OddCycleWitness,
+    induced_components,
+    is_bipartite,
+    is_convex,
+)
+from johnson_embed.walls import WallSystem, check_wc_all, splits, w_sets
 
 
 def reference_is_convex(d, s):

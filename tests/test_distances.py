@@ -8,14 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from johnson_embed import (
-    Graph,
-    GraphError,
-    RejectionCertificate,
-    build_embedding,
-    distance_matrix,
-)
+from johnson_embed import Graph, GraphError, RejectionCertificate, build_embedding
 from johnson_embed import graphs
+from johnson_embed.graphs import distance_matrix
 from johnson_embed.walls import TOO_MANY_COMPONENTS
 
 # The benchmark's seeded corpus; it imports nothing from the program.

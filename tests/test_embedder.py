@@ -9,16 +9,11 @@ from hypothesis import given, settings, strategies as st
 from johnson_embed import (
     Embedding,
     Graph,
-    HypercubeCertificate,
-    HypercubeEmbedding,
-    IsometryWitness,
     RejectionCertificate,
-    bfs_tree,
     build_embedding,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    distance_matrix,
     embed_hypercube,
     hypercube_graph,
     johnson_graph,
@@ -28,6 +23,13 @@ from johnson_embed import (
     verify_embedding,
     walls,
 )
+from johnson_embed.embedder import (
+    HypercubeCertificate,
+    HypercubeEmbedding,
+    IsometryWitness,
+    bfs_tree,
+)
+from johnson_embed.graphs import distance_matrix
 
 from helpers import cartesian_product
 
@@ -310,7 +312,7 @@ def test_random_trees_embed_with_one_class_per_edge():
 
 
 def test_pipeline_agrees_with_hypercube_on_bipartite(corpus_decisions):
-    from johnson_embed import OddCycleWitness, is_bipartite
+    from johnson_embed.graphs import OddCycleWitness, is_bipartite
 
     for name, g, result in corpus_decisions:
         if isinstance(is_bipartite(g), OddCycleWitness):

@@ -88,7 +88,7 @@ def test_petersen_shape():
     d = g.distances()
     assert max(max(row) for row in d.rows) == 2
     # Girth five: no triangles, no squares.
-    from johnson_embed import squares
+    from johnson_embed.matroid import squares
 
     assert list(squares(g, induced_only=False)) == []
 

@@ -4,25 +4,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
-    ConvexityWitness,
     Graph,
     GraphError,
-    OddCycleWitness,
     ParseError,
     cycle_graph,
     complete_graph,
     complete_bipartite_graph,
-    distance_matrix,
-    induced_components,
-    induced_subgraph,
-    interval,
-    is_bipartite,
-    is_convex,
     parse_graph,
     path_graph,
     petersen_graph,
 )
-from johnson_embed.graphs import OCTAHEDRON, PYRAMID, SQUARE, induced_is_pattern
+from johnson_embed.graphs import (
+    OCTAHEDRON,
+    PYRAMID,
+    SQUARE,
+    ConvexityWitness,
+    OddCycleWitness,
+    distance_matrix,
+    induced_components,
+    induced_is_pattern,
+    induced_subgraph,
+    interval,
+    is_bipartite,
+    is_convex,
+)
 
 from helpers import find_isomorphism, two_colorable
 
@@ -34,6 +39,17 @@ def test_graph_normalizes_edges():
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(0, 2)
     assert g.degree(1) == 2
+
+
+def test_has_edge_orders_the_pair_and_checks_both_ends():
+    g = Graph(10, [(0, 5), (1, 5), (3, 9)], require_connected=False)
+    assert g.has_edge(5, 1) and g.has_edge(9, 3) and g.has_edge(0, 5)
+    assert not g.has_edge(5, 5)
+    # Pairs whose int key u * n + v is the key of a real edge.
+    assert not g.has_edge(0, 15) and not g.has_edge(15, 0)  # (1, 5)
+    assert not g.has_edge(2, 19)  # (3, 9)
+    assert not g.has_edge(-1, 15) and not g.has_edge(15, -1)  # (0, 5)
+    assert not g.has_edge(-1, 5) and not g.has_edge(9, 10) and not g.has_edge(10, 10)
 
 
 def test_graph_rejects_bad_input():

@@ -1,0 +1,58 @@
+"""The paper's invariances as property tests: relabelling and Cartesian products."""
+
+from hypothesis import given, settings, strategies as st
+
+from johnson_embed import (
+    Embedding,
+    Graph,
+    build_embedding,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
+    johnson_graph,
+    path_graph,
+    petersen_graph,
+    random_connected_graph,
+)
+
+from conftest import named_corpus
+from helpers import cartesian_product
+
+SMALL_FAMILIES = [g for _, g in named_corpus() if g.n <= 10]
+
+# Small family members that embed.
+FACTORS = [cycle_graph(5), cycle_graph(6), path_graph(3), complete_graph(3),
+           complete_graph(4), hypercube_graph(2), johnson_graph(2, 4),
+           johnson_graph(2, 5), petersen_graph()]
+FACTOR_EMBEDDINGS = [build_embedding(g) for g in FACTORS]
+
+
+@st.composite
+def graph_and_relabelling(draw):
+    if draw(st.booleans()):
+        n, p = draw(st.integers(1, 9)), draw(st.sampled_from([0.3, 0.5, 0.7]))
+        g = random_connected_graph(n, p, seed=draw(st.integers(0, 2**32 - 1)))
+    else:
+        g = draw(st.sampled_from(SMALL_FAMILIES))
+    perm = draw(st.permutations(range(g.n)))
+    return g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_relabelling())
+def test_relabelling_keeps_the_verdict_and_the_rejection_stage(case):
+    g, h = case
+    before, after = build_embedding(g), build_embedding(h)
+    assert isinstance(after, Embedding) == isinstance(before, Embedding)
+    if not isinstance(before, Embedding):
+        assert after.stage == before.stage
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(FACTORS) - 1), st.integers(0, len(FACTORS) - 1))
+def test_product_of_embedded_graphs_embeds_with_summed_parameters(i, j):
+    result = build_embedding(cartesian_product(FACTORS[i], FACTORS[j]))
+    assert isinstance(result, Embedding)
+    a, b = FACTOR_EMBEDDINGS[i], FACTOR_EMBEDDINGS[j]
+    assert result.m == a.m + b.m
+    assert result.ground_set_size == a.ground_set_size + b.ground_set_size

@@ -1,9 +1,6 @@
 from johnson_embed import (
     Embedding,
     WcCertificate,
-    check_ic,
-    check_lc,
-    check_pc,
     check_wc,
     complete_bipartite_graph,
     complete_graph,
@@ -13,8 +10,8 @@ from johnson_embed import (
     johnson_graph,
     path_graph,
     petersen_graph,
-    squares,
 )
+from johnson_embed.matroid import check_ic, check_lc, check_pc, squares
 
 
 def test_squares_cycle4():

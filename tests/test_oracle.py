@@ -2,7 +2,6 @@ import pytest
 
 from johnson_embed import (
     Embedding,
-    brute_force_embed,
     build_embedding,
     complete_bipartite_graph,
     complete_graph,
@@ -13,6 +12,7 @@ from johnson_embed import (
     petersen_graph,
     verify_embedding,
 )
+from johnson_embed.oracle import brute_force_embed
 
 
 def test_brute_force_finds_cycle5():

@@ -1,6 +1,7 @@
 """The README's Python snippets run, and the values their comments show hold."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -28,3 +29,15 @@ def test_readme_snippet_values(snippet):
         else:
             exec(code, env)
     assert pinned
+
+
+def test_readme_lists_exactly_the_root_exports():
+    import johnson_embed
+
+    (line,) = [s for s in README.splitlines() if s.startswith("Root exports: ")]
+    assert sorted(re.findall(r"`(\w+)`", line)) == sorted(johnson_embed.__all__)
+    for name in johnson_embed.__all__:
+        getattr(johnson_embed, name)
+    # Any other public attribute of the root is one of its submodules.
+    extra = set(vars(johnson_embed)) - set(johnson_embed.__all__)
+    assert all(inspect.ismodule(getattr(johnson_embed, n)) for n in extra if n[0] != "_")

@@ -4,22 +4,23 @@ from itertools import combinations
 import pytest
 
 from johnson_embed import (
-    BipartiteRoot,
     ConsistencyError,
     Graph,
-    RootCertificate,
     bipartite_root,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    find_claw_or_diamond,
-    krausz_partition,
-    line_graph,
     path_graph,
     petersen_graph,
 )
-
-from johnson_embed.rootgraph import _verify_line_graph
+from johnson_embed.rootgraph import (
+    BipartiteRoot,
+    RootCertificate,
+    find_claw_or_diamond,
+    krausz_partition,
+    _verify_line_graph,
+    line_graph,
+)
 
 from helpers import find_isomorphism
 

@@ -2,29 +2,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
-    ConvexityWitness,
-    EdgeWalls,
     Graph,
-    WallSystem,
     WcCertificate,
     check_wc,
-    check_wc_all,
-    check_wc_edge,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     hypercube_graph,
-    distance_matrix,
-    induced_components,
-    is_convex,
     path_graph,
     petersen_graph,
     random_connected_graph,
+)
+from johnson_embed.graphs import (
+    ConvexityWitness,
+    distance_matrix,
+    induced_components,
+    is_convex,
+)
+from johnson_embed import walls
+from johnson_embed.walls import (
+    DOUBLE_PRIME,
+    PRIME,
+    EdgeWalls,
+    WallSystem,
+    check_wc_all,
+    check_wc_edge,
     splits,
     w_sets,
 )
-from johnson_embed import walls
-from johnson_embed.walls import DOUBLE_PRIME, PRIME
 
 from helpers import cartesian_product
 
