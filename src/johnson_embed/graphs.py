@@ -7,11 +7,10 @@ is computed by one BFS the first time it is read and then kept, so a scan
 that stops early pays only for the rows it read.  One matrix per graph is
 shared by every stage, and its row 0 is the BFS that checked the graph
 connected.  The matrix is the graph's metric core: it also keeps each
-distinct edge split once, and the split of every edge that the wall scan's
-Θ class test verified (see walls.splits), so the splits live and die with
-the rows they were read from.  is_convex decides a set from the rows of
-its boundary members (those with an outside neighbour) and finds a witness
-from the row of one BFS source.
+distinct edge split once, under its canonical signature (see walls.splits),
+so the splits live and die with the rows they were read from.  is_convex
+decides a set from the rows of its boundary members (those with an outside
+neighbour) and finds a witness from the row of one BFS source.
 
 Graphs read from user input must be connected.  Internally constructed
 graphs (class adjacency graphs, neighborhood subgraphs, reconstructed roots)
@@ -134,22 +133,19 @@ class DistanceMatrix(dict):
     level-synchronous BFS the first time d[u] is read and kept, so later
     reads are plain dict lookups.  Reading a vertex outside 0..n-1 raises
     IndexError; a row that leaves some vertex unreached raises GraphError.
-    It also keeps each distinct edge split once, and the split of each
-    edge its Θ class test verified, for walls.splits.
+    It also keeps each distinct edge split once, under its canonical
+    signature, for walls.splits.
     """
 
-    __slots__ = ("n", "_neighbors", "_splits", "_edge_splits")
+    __slots__ = ("n", "_neighbors", "_splits")
 
     def __init__(self, g: Graph):
         super().__init__()
         self.n = g.n
         self._neighbors = g.neighbors
         # walls.splits: signature row d[u] - d[v] -> (w_uv, w_vu, eq components),
-        # u nearer vertex 0 unless vertex 0 is equidistant.
+        # oriented so that its first nonzero entry is -1.
         self._splits: dict = {}
-        # walls._class_passes: edge (u, v), u nearer vertex 0 -> the same triple,
-        # for every edge whose split its Θ class test verified.
-        self._edge_splits: dict = {}
 
     def __missing__(self, s: int) -> tuple[int, ...]:
         if not 0 <= s < self.n:

@@ -83,13 +83,20 @@ def brute_force_embed(g: Graph, d: DistanceMatrix, m: int, n: int) -> OracleResu
     return OracleResult(True, m, n, labels, nodes)
 
 
+# brute_force_embed lists all C(n, m) label masks; C(20, 10) is 184,756.
+MAX_GROUND = 20
+
+
 def oracle_decide(g: Graph, d: DistanceMatrix, n_max: int = 8) -> OracleResult:
     """Try every (m, n) with 1 <= m <= n/2 <= n_max/2, in m-major order.
 
     Returns the first hit with cumulative node counts, or a not-found result
     whose negative answer covers only ground sets up to n_max.  A single
-    vertex embeds trivially with m = 0.
+    vertex embeds trivially with m = 0.  n_max above MAX_GROUND raises
+    ValueError before any search, which keeps the mask lists small.
     """
+    if n_max > MAX_GROUND:
+        raise ValueError(f"ground set size {n_max} exceeds the oracle's limit of {MAX_GROUND}")
     if g.n == 1:
         return OracleResult(True, 0, 0, ((),), 0)
     total = 0

@@ -10,11 +10,11 @@ data plus the deduplicated walls with multiplicities.
 This module is the only one that splits edges.  check_wc and check_wc_all
 are one scan that splits every edge once, in edge order.  Edges of one Θ
 class share their split, and the metric core keeps each distinct split once:
-splits memoizes it on the distance matrix, so only the first edge of a class
-runs w_sets and induced_components and the rest share its tuples.  Within a
-scan each distinct half is tested for convexity once, and an edge whose
-split already passed adds no walls.  The later stages (Θ classes, the
-hypercube embedder) read the WallSystem.
+splits memoizes it on the distance matrix under one canonical signature, so
+only the first edge of a class runs w_sets and induced_components and the
+rest share its tuples.  Within a scan each distinct half is tested for
+convexity once, and an edge whose split already passed adds no walls.  The
+later stages (Θ classes, the hypercube embedder) read the WallSystem.
 
 A split with no equidistant vertex, which every split of a bipartite graph
 is, is decided by its crossing edges, those yz with y in W_uv and z in W_vu
@@ -26,16 +26,15 @@ no vertex is equidistant from y and z, so an x in W_uv nearer z than y would
 put z on a shortest x-y path, against the convexity of W_uv.  The scan
 therefore compares each crossing edge's signature with the split's own
 before any convexity test.  When all match, neither side goes through
-is_convex, and the crossing edges, the split's whole Θ class, are recorded
-on the distance matrix.  When one differs (outside bipartite graphs that can
-happen even when both sides are convex), the sides go through is_convex as
-before, so every certificate is the one is_convex gives.
+is_convex.  When one differs (outside bipartite graphs that can happen even
+when both sides are convex), the sides go through is_convex as before, so
+every certificate is the one is_convex gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from operator import neg, sub
 
 from .graphs import (
     ConsistencyError,
@@ -84,17 +83,14 @@ def splits(g: Graph, d: DistanceMatrix, edge: tuple[int, int]) -> EdgeWalls:
 
     The split is memoized on d.  Its signature d[t] - d[h] has entries in
     {-1, 0, 1} that place every vertex, so it fixes the split, and its
-    negation is the same split oriented ht.  The signature is taken with the
-    tail t on vertex 0's side, so every edge of a Θ class finds the entry
-    its first edge stored; only a split with vertex 0 equidistant has no such
-    side and is looked up both ways.  Each distinct split runs w_sets and
-    induced_components once; every other edge of its class gets the same
-    tuples, swapped for the opposite orientation.
-
-    By Djoković's lemma (module docstring), a split with no equidistant
-    vertex whose crossing edges all have its signature has convex sides.
-    The scan's Θ class test records those edges on d, and splits answers
-    them from the record without a signature.
+    negation is the same split oriented ht.  The key is the one orientation
+    whose first nonzero entry is -1: the tail t is nearer the first vertex
+    that is not equidistant from the ends.  That vertex is vertex 0 unless
+    vertex 0 is equidistant, so the orientation is read from row 0 and
+    flipped only in that case.  Every edge of a Θ class thus makes one
+    lookup and finds the entry its first edge stored; each distinct split
+    runs w_sets and induced_components once, and every other edge of its
+    class gets the same tuples, swapped for the opposite orientation.
     """
     u, v = edge
     if not g.has_edge(u, v):
@@ -102,18 +98,14 @@ def splits(g: Graph, d: DistanceMatrix, edge: tuple[int, int]) -> EdgeWalls:
     row0 = d[0]
     flip = row0[v] < row0[u]
     t, h = (v, u) if flip else (u, v)
-    known = d._edge_splits.get((t, h))
+    signature = tuple(map(sub, d[t], d[h]))
+    if next(filter(None, signature)) > 0:
+        t, h, flip = h, t, not flip
+        signature = tuple(map(neg, signature))
+    known = d._splits.get(signature)
     if known is None:
-        memo = d._splits
-        signature = tuple(map(sub, d[t], d[h]))
-        known = memo.get(signature)
-        if known is None and row0[t] == row0[h]:
-            reverse = memo.get(tuple(map(sub, d[h], d[t])))
-            if reverse is not None:
-                known = reverse[1], reverse[0], reverse[2]
-        if known is None:
-            w_th, w_ht, w_eq = w_sets(d, t, h)
-            known = memo[signature] = w_th, w_ht, induced_components(g, w_eq)
+        w_th, w_ht, w_eq = w_sets(d, t, h)
+        known = d._splits[signature] = w_th, w_ht, induced_components(g, w_eq)
     w_th, w_ht, comps = known
     if flip:
         return EdgeWalls((u, v), w_ht, w_th, comps)
@@ -125,30 +117,17 @@ def _class_passes(d: DistanceMatrix, ew: EdgeWalls) -> bool:
 
     True when every crossing edge, listed from the smaller side in ascending
     order, has the split's own signature: both sides are then convex (see
-    the module docstring), and each crossing edge's split is recorded on d,
-    sharing ew's tuples.  False, at the first edge that differs, records
-    nothing.
+    the module docstring).  False at the first edge that differs.
     """
     (u, v), small, large = ew.edge, ew.w_uv, ew.w_vu
     if len(large) < len(small):
-        u, v, small, large = v, u, large, small
+        u, v, small = v, u, large
     signature = tuple(map(sub, d[u], d[v]))
     inside = set(small)
-    neighbors = d._neighbors
-    crossing: list[tuple[int, int]] = []
     for y in small:
-        out = [z for z in neighbors[y] if z not in inside]
-        if out:
-            dy = d[y]
-            for z in out:
-                if tuple(map(sub, dy, d[z])) != signature:
-                    return False
-                crossing.append((y, z))
-    # Keyed tail-first with the tail on vertex 0's side, as splits looks up.
-    if small[0] != 0:
-        crossing = [(z, y) for y, z in crossing]
-        small, large = large, small
-    d._edge_splits.update(dict.fromkeys(crossing, (small, large, ew.eq_components)))
+        for z in d._neighbors[y]:
+            if z not in inside and tuple(map(sub, d[y], d[z])) != signature:
+                return False
     return True
 
 

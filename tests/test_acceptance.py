@@ -1,7 +1,10 @@
 """End-to-end acceptance checks.
 
 Each test covers one acceptance criterion and prints a single PASS or FAIL
-line (run with -s to see them).  The criteria exercise the public API only.
+line (run with -s to see them).  The criteria use the package root's
+exports, plus these internals imported from their modules: splits (walls),
+scalar (atom), is_convex (graphs), line_graph (rootgraph), bfs_tree and the
+HypercubeEmbedding type (embedder), and check_lc and check_pc (matroid).
 """
 
 import time

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from johnson_embed.cli import format_edge_list, main, parse_labels
-from johnson_embed import cli, cycle_graph, embedder, graphs
+from johnson_embed import cli, cycle_graph, embedder, graphs, oracle
 from johnson_embed.embedder import IsometryWitness
 from johnson_embed.graphs import ConsistencyError
 
@@ -231,6 +231,17 @@ def test_oracle_cli(c5, k23, capsys):
     assert main(["oracle", k23, "--max-ground", "6", "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["found"] is False
+
+
+def test_oracle_cli_rejects_a_large_ground_set(k23, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched past the ground set limit")
+
+    monkeypatch.setattr(oracle, "brute_force_embed", no_search)
+    assert main(["oracle", k23, "--max-ground", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ground set size 30 exceeds")
 
 
 def test_verify_cli(c5, tmp_path, capsys):

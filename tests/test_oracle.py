@@ -12,7 +12,8 @@ from johnson_embed import (
     petersen_graph,
     verify_embedding,
 )
-from johnson_embed.oracle import brute_force_embed
+from johnson_embed import oracle
+from johnson_embed.oracle import MAX_GROUND, brute_force_embed
 
 
 def test_brute_force_finds_cycle5():
@@ -109,3 +110,16 @@ def test_oracle_petersen():
     res = oracle_decide(g, g.distances(), n_max=6)
     assert res.found
     assert (res.m, res.n) == (3, 6)
+
+
+def test_oracle_decide_bounds_the_ground_set(monkeypatch):
+    g = cycle_graph(5)
+    res = oracle_decide(g, g.distances(), n_max=MAX_GROUND)
+    assert (res.found, res.m, res.n) == (True, 2, 5)
+
+    def no_search(*args):
+        raise AssertionError("searched past the ground set limit")
+
+    monkeypatch.setattr(oracle, "brute_force_embed", no_search)
+    with pytest.raises(ValueError, match="limit of 20"):
+        oracle_decide(g, g.distances(), n_max=MAX_GROUND + 1)

@@ -240,6 +240,19 @@ def test_splits_memo_matches_reference_and_shares_tuples(case):
             assert ew.w_uv is (earlier.w_uv if same_way else earlier.w_vu)
             assert ew.w_vu is (earlier.w_vu if same_way else earlier.w_uv)
             assert ew.eq_components is earlier.eq_components
+    # One canonical key per split: its first nonzero entry is -1, so the
+    # negation, the same split oriented the other way, is never a key.
+    keys = set(d._splits)
+    for key in keys:
+        assert next(filter(None, key)) == -1
+        assert tuple(-x for x in key) not in keys
+    # The Θ class test only reads the memo.
+    ews = [splits(g, d, edge) for edge in oriented]
+    memo = dict(d._splits)
+    for ew in ews:
+        if not ew.eq_components:
+            walls._class_passes(d, ew)
+    assert d._splits == memo
 
 
 @st.composite
@@ -296,11 +309,7 @@ def test_class_test_decides_splits_with_no_equidistant_vertex(case):
             # Convex sides force every crossing edge's split.
             assert passes == convex, edge
     ref_d = distance_matrix(g)
-    for (t, h), entry in d._edge_splits.items():
-        w_th, w_ht, w_eq = w_sets(ref_d, t, h)
-        assert entry == (w_th, w_ht, induced_components(g, w_eq))
-        assert splits(g, d, (h, t)) == EdgeWalls((h, t), w_ht, w_th, entry[2])
-    # The recorded edges and a first scan leave a second scan over d intact.
+    # A first scan leaves a second scan over d intact.
     first = check_wc(g, d)
     assert check_wc(g, d) == first == check_wc(g, ref_d)
     assert check_wc_all(g, d) == check_wc_all(g, distance_matrix(g))
