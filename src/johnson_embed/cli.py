@@ -5,6 +5,10 @@ Exit codes: 0 for accept/pass, 1 for reject/fail with a certificate,
 property of the input).  Certificates are printed with enough data to
 re-verify them against the input graph alone; --json switches every command
 from the human rendering to a stable JSON document on stdout.
+
+Each call builds only the parser of the subcommand its first argument names.
+With no argument, -h, an unknown subcommand or an unrecognized argument it
+builds all of them, so usage lines and errors are those of the full parser.
 """
 
 from __future__ import annotations
@@ -40,7 +44,12 @@ from .walls import WallSystem, WcCertificate, check_wc, check_wc_all
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = _parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        # A narrowed parser's usage line names one subcommand; let the full
+        # one report the unrecognized arguments.
+        args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, GraphError, ValueError) as exc:
@@ -51,13 +60,19 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only `command`'s subparser if it names one."""
     parser = argparse.ArgumentParser(
         prog="johnson-embed",
         description="Decide isometric embeddability into Johnson graphs.")
     sub = parser.add_subparsers(required=True)
+    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+        if command not in _SUBCOMMANDS or command == name:
+            add_arguments(sub.add_parser(name, help=summary))
+    return parser
 
-    p = sub.add_parser("embed", help="embed a graph or print a refutation certificate")
+
+def _embed_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--basepoint", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -67,7 +82,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="also print the deduplicated wall system")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("check", help="run a single structural condition")
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("condition", choices=["wc", "agc", "ic", "pc", "lc"])
     p.add_argument("graph")
     p.add_argument("--basepoint", type=int, default=0, help="basepoint for agc")
@@ -80,14 +96,16 @@ def _parser() -> argparse.ArgumentParser:
                    help="agc only: print the reconstructed root in DOT on success")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("atom-graph", help="print the atom graph of a basepoint")
+
+def _atom_graph_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--basepoint", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_atom_graph)
 
-    p = sub.add_parser("gen", help="generate a named family member as an edge list")
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("family")
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
@@ -95,28 +113,45 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.5, help="random family only")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("oracle", help="brute-force search over small ground sets")
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--max-ground", type=int, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("verify", help="verify a labels file against a graph")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("labels")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("basis-graph", help="decide matroid basis graph membership")
+
+def _basis_graph_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_basis_graph)
 
-    p = sub.add_parser("partial-cube", help="embed into a hypercube or refute")
+
+def _partial_cube_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partial_cube)
-    return parser
+
+
+# Subcommand -> (help, function that adds its arguments), in help order.  The
+# functions read cmd_* when the parser is built, so a patched cmd_* is called.
+_SUBCOMMANDS = {
+    "embed": ("embed a graph or print a refutation certificate", _embed_arguments),
+    "check": ("run a single structural condition", _check_arguments),
+    "atom-graph": ("print the atom graph of a basepoint", _atom_graph_arguments),
+    "gen": ("generate a named family member as an edge list", _gen_arguments),
+    "oracle": ("brute-force search over small ground sets", _oracle_arguments),
+    "verify": ("verify a labels file against a graph", _verify_arguments),
+    "basis-graph": ("decide matroid basis graph membership", _basis_graph_arguments),
+    "partial-cube": ("embed into a hypercube or refute", _partial_cube_arguments),
+}
 
 
 def _load(path: str) -> Graph:

@@ -110,7 +110,8 @@ def random_connected_graph(n: int, p: float, seed: int, *,
     Draws each of the n(n-1)/2 vertex pairs independently with probability
     p, scanning pairs in lexicographic order with one uniform draw per pair
     from random.Random(seed), and rejects disconnected outcomes, continuing
-    the same stream.  The result is a pure function of (n, p, seed).
+    the same stream.  The result is a pure function of (n, p, seed).  Raises
+    ValueError when all max_attempts draws are disconnected.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -127,5 +128,5 @@ def random_connected_graph(n: int, p: float, seed: int, *,
             return Graph(n, edges)
         except GraphError:
             continue
-    raise RuntimeError(
+    raise ValueError(
         f"no connected graph on {n} vertices with p={p} after {max_attempts} attempts")

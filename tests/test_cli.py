@@ -304,3 +304,97 @@ def test_format_edge_list_round_trip():
     text = format_edge_list(g, comment="petersen")
     h = parse_graph(text)
     assert h.n == g.n and h.edges == g.edges
+
+
+def test_gen_random_out_of_attempts_is_a_usage_error(capsys):
+    assert main(["gen", "random", "30", "--p", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no connected graph on 30 vertices")
+    assert "Traceback" not in captured.err
+
+
+# ---- the narrowed parser against the full one ----
+
+# One valid argv per subcommand, every option of it set.
+VALID_ARGV = {
+    "embed": ["embed", "g.txt", "--basepoint", "1", "--json", "--paranoid", "--walls"],
+    "check": ["check", "pc", "g.txt", "--basepoint", "2", "--json", "--all",
+              "--all-squares", "--dot"],
+    "atom-graph": ["atom-graph", "g.txt", "--basepoint", "1", "--json", "--dot"],
+    "gen": ["gen", "random", "6", "-o", "out.txt", "--seed", "3", "--p", "0.5"],
+    "oracle": ["oracle", "g.txt", "--max-ground", "6", "--json"],
+    "verify": ["verify", "g.txt", "labels.txt", "--json"],
+    "basis-graph": ["basis-graph", "g.txt", "--json"],
+    "partial-cube": ["partial-cube", "g.txt", "--json"],
+}
+
+# The positionals that complete each subcommand's argv.
+POSITIONALS = {"check": ["wc", "g.txt"], "gen": ["cycle", "5"],
+               "verify": ["g.txt", "labels.txt"]}
+
+# An int option per subcommand that has one.
+INT_OPTION = {"embed": "--basepoint", "check": "--basepoint",
+              "atom-graph": "--basepoint", "gen": "--seed", "oracle": "--max-ground"}
+
+
+def _failing_argvs(name):
+    full = [name, *POSITIONALS.get(name, ["g.txt"])]
+    yield [name, "-h"]
+    yield [name]
+    yield [*full, "--nope"]
+    yield [*full, "extra"]
+    if name in INT_OPTION:
+        yield [*full, INT_OPTION[name], "x"]
+    if name == "check":
+        yield ["check", "bogus", "g.txt"]
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_valid_argvs_cover_every_subcommand():
+    assert list(VALID_ARGV) == list(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", list(VALID_ARGV))
+def test_narrowed_parser_gives_the_full_parsers_namespace(name):
+    argv = VALID_ARGV[name]
+    args, extra = cli._parser(name).parse_known_args(argv)
+    assert extra == []
+    assert args == cli._parser().parse_args(argv)
+    assert args.func is getattr(cli, "cmd_" + name.replace("-", "_"))
+
+
+@pytest.mark.parametrize("name", list(VALID_ARGV))
+def test_main_fails_like_the_full_parser(name, capsys):
+    for argv in _failing_argvs(name):
+        narrowed = _exit(main, argv, capsys)
+        assert narrowed == _exit(cli._parser().parse_args, argv, capsys), argv
+        assert narrowed[0] == (0 if argv[-1] == "-h" else 2), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "g.txt"]])
+def test_top_level_usage_is_the_full_parsers(argv, capsys):
+    assert _exit(main, argv, capsys) == _exit(cli._parser().parse_args, argv, capsys)
+
+
+def test_main_builds_only_the_invoked_subparser(k23, monkeypatch, capsys):
+    built = []
+    add_parser = cli.argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(cli.argparse._SubParsersAction, "add_parser", counting)
+    assert main(["check", "lc", k23]) == 0
+    assert built == ["check"]
+    capsys.readouterr()
+    # The subparser takes cmd_* when it is built, so a patched one is called.
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+    assert main(["check", "lc", k23]) == 7

@@ -128,5 +128,5 @@ def test_random_connected_graph_validates():
 
 def test_random_connected_graph_exhausts_budget():
     # Probability too small to ever connect five vertices.
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="no connected graph"):
         random_connected_graph(5, 1e-12, seed=0, max_attempts=5)

@@ -1,6 +1,8 @@
-"""The paper's invariances as property tests: relabelling and Cartesian products."""
+"""The paper's invariances as property tests: relabelling, Cartesian products,
+hypercubes, and agreement with the brute-force oracle."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from johnson_embed import (
     Embedding,
@@ -10,6 +12,7 @@ from johnson_embed import (
     cycle_graph,
     hypercube_graph,
     johnson_graph,
+    oracle_decide,
     path_graph,
     petersen_graph,
     random_connected_graph,
@@ -56,3 +59,21 @@ def test_product_of_embedded_graphs_embeds_with_summed_parameters(i, j):
     a, b = FACTOR_EMBEDDINGS[i], FACTOR_EMBEDDINGS[j]
     assert result.m == a.m + b.m
     assert result.ground_set_size == a.ground_set_size + b.ground_set_size
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_hypercube_embeds_into_the_johnson_graph_of_twice_its_dimension(d):
+    result = build_embedding(hypercube_graph(d))
+    assert isinstance(result, Embedding)
+    assert (result.m, result.ground_set_size) == (d, 2 * d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 2**32 - 1))
+def test_oracle_agrees_with_the_pipeline_on_small_graphs(n, p, seed):
+    g = random_connected_graph(n, p, seed)
+    result = build_embedding(g)
+    accepted = isinstance(result, Embedding)
+    # The oracle's default search covers ground sets of at most 8 elements.
+    assume(not accepted or result.ground_set_size <= 8)
+    assert oracle_decide(g, g.distances()).found == accepted
