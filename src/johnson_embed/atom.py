@@ -30,11 +30,12 @@ def scalar(d: DistanceMatrix, e: tuple[int, int], f: tuple[int, int]) -> int:
     return value
 
 
-def vertical_edges(g: Graph, d: DistanceMatrix, b: int) -> tuple[tuple[int, int], ...]:
+def vertical_edges(g: Graph, b: int) -> tuple[tuple[int, int], ...]:
     """Edges whose endpoints differ in depth from b, oriented tail closer, sorted."""
+    db = g.distances()[b]
     oriented = []
     for u, v in g.edges:
-        du, dv = d[b][u], d[b][v]
+        du, dv = db[u], db[v]
         if du < dv:
             oriented.append((u, v))
         elif dv < du:

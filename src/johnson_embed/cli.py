@@ -205,9 +205,6 @@ def _root_human(cert: RootCertificate) -> str:
         u, v, w, x = cert.vertices
         return (f"classes ({u}, {v}) are adjacent with non-adjacent common "
                 f"neighbors ({w}, {x})")
-    if cert.kind == "VERTEX_IN_3_CLIQUES":
-        return (f"class {cert.vertices[0]} lies in {len(cert.cliques)} maximal "
-                f"cliques")
     return f"root graph contains an odd cycle: {list(cert.cycle)}"
 
 
@@ -273,14 +270,13 @@ def cmd_embed(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load(args.graph)
-    d = g.distances()
     if args.condition == "wc":
-        result = check_wc(g, d)
+        result = check_wc(g)
         if not isinstance(result, WcCertificate):
             return cmd_check_wc_pass(args, result)
         payload = {"result": "fail", "condition": "wc"}
         if args.all:
-            certs = payload["certificates"] = check_wc_all(g, d)
+            certs = payload["certificates"] = check_wc_all(g)
         else:
             certs = [result]
             payload.update(_doc(result))
@@ -289,9 +285,9 @@ def cmd_check(args) -> int:
     if args.condition == "agc":
         return _check_agc(args, g)
     if args.condition == "ic":
-        report = check_ic(g, d)
+        report = check_ic(g)
     elif args.condition == "pc":
-        report = check_pc(g, d, induced_only=not args.all_squares)
+        report = check_pc(g, induced_only=not args.all_squares)
     else:
         report = check_lc(g)
     return _emit_condition(args, report)
@@ -402,7 +398,7 @@ def format_edge_list(g: Graph, comment: str | None = None) -> str:
 
 def cmd_oracle(args) -> int:
     g = _load(args.graph)
-    result = oracle_decide(g, g.distances(), n_max=args.max_ground)
+    result = oracle_decide(g, n_max=args.max_ground)
     if result.found:
         _emit(args, _doc(result),
               f"found: m={result.m} n={result.n} labels="
@@ -450,7 +446,7 @@ def parse_labels(text: str) -> list[frozenset[int]]:
 
 def cmd_basis_graph(args) -> int:
     g = _load(args.graph)
-    report = is_basis_graph(g, g.distances())
+    report = is_basis_graph(g)
     wc, ic = report.wc, report.ic
     verdict = "yes" if report.passed else "no"
     human = [f"basis graph: {verdict}"]
@@ -472,7 +468,7 @@ def cmd_basis_graph(args) -> int:
 
 def cmd_partial_cube(args) -> int:
     g = _load(args.graph)
-    result = embed_hypercube(g, g.distances())
+    result = embed_hypercube(g)
     if isinstance(result, HypercubeEmbedding):
         _emit(args, {"result": "yes", **_doc(result)},
               "\n".join([f"hypercube embeddable: dimension={result.dimension}",

@@ -127,7 +127,7 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     if not 0 <= b < g.n:
         raise ValueError(f"basepoint {b} out of range")
     d = g.distances()
-    wc = check_wc(g, d)
+    wc = check_wc(g)
     if isinstance(wc, WcCertificate):
         return PipelineRun(basepoint=b, wc_certificate=wc)
     classes = theta1_classes(wc, d, b)
@@ -263,21 +263,18 @@ class HypercubeCertificate:
     witness: object = None
 
 
-def embed_hypercube(g: Graph, d: DistanceMatrix | None = None
-                    ) -> "HypercubeEmbedding | HypercubeCertificate":
+def embed_hypercube(g: Graph) -> "HypercubeEmbedding | HypercubeCertificate":
     """Decide hypercube embeddability (bipartite plus convex edge sides).
 
     Coordinates are the walls of check_wc in first-appearance order; a
     vertex's label collects the walls whose side away from vertex 0 contains
-    it.  The labeling is re-verified against all pairwise distances before
-    being returned.
+    it.  The labeling is re-verified against all pairwise distances of g's
+    one distance matrix, the one check_wc read, before being returned.
     """
-    if d is None:
-        d = g.distances()
     coloring = is_bipartite(g)
     if isinstance(coloring, OddCycleWitness):
         return HypercubeCertificate(NOT_BIPARTITE, odd_cycle=coloring.cycle)
-    ws = check_wc(g, d)
+    ws = check_wc(g)
     if isinstance(ws, WcCertificate):
         if ws.kind != NONCONVEX_HALFSPACE:
             raise ConsistencyError(f"bipartite graph failed the wallspace check: {ws}")
@@ -290,7 +287,7 @@ def embed_hypercube(g: Graph, d: DistanceMatrix | None = None
         frozenset(i for i, far in enumerate(far_sides) if v in far)
         for v in range(g.n)
     )
-    mismatch = _first_mismatch(d, _bitmasks(labels), 1)
+    mismatch = _first_mismatch(g.distances(), _bitmasks(labels), 1)
     if mismatch is not None:
         x, y, _ = mismatch
         raise ConsistencyError(f"hypercube labeling failed verification at ({x}, {y})")

@@ -4,9 +4,11 @@ Every other module works on the two value types defined here.  A Graph is a
 finite simple undirected graph on vertices 0..n-1, immutable after
 construction.  A DistanceMatrix holds shortest-path hop distances; each row
 is computed by one BFS the first time it is read and then kept, so a scan
-that stops early pays only for the rows it read.  One matrix per graph is
-shared by every stage, and its row 0 is the BFS that checked the graph
-connected.  The matrix is the graph's metric core: it also keeps each
+that stops early pays only for the rows it read.  Graph.distances() caches
+one matrix per graph, whose row 0 is the BFS that checked the graph
+connected.  A function takes the graph, and reads that matrix itself, or the
+metric alone, never both, so every stage shares the one matrix by
+construction.  The matrix is the graph's metric core: it also keeps each
 distinct edge split once, under its canonical signature (see walls.splits),
 so the splits live and die with the rows they were read from.  is_convex
 decides a set from the rows of its boundary members (those with an outside
@@ -214,8 +216,6 @@ def parse_graph(data: bytes | str) -> Graph:
             f"got {len(edges)}")
     try:
         return Graph(n, edges)
-    except ParseError:
-        raise
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    DistanceMatrix,
     Graph,
     OCTAHEDRON,
     PYRAMID,
@@ -62,8 +61,9 @@ class ConditionReport:
     witness: "IcWitness | PcWitness | LcWitness | None" = None
 
 
-def check_ic(g: Graph, d: DistanceMatrix) -> ConditionReport:
+def check_ic(g: Graph) -> ConditionReport:
     """Every distance-2 interval must induce a square, pyramid, or octahedron."""
+    d = g.distances()
     by_size = {4: SQUARE, 5: PYRAMID, 6: OCTAHEDRON}
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -96,8 +96,9 @@ def squares(g: Graph, *, induced_only: bool = True):
                     yield (u1, u2, u3, u4)
 
 
-def check_pc(g: Graph, d: DistanceMatrix, *, induced_only: bool = True) -> ConditionReport:
+def check_pc(g: Graph, *, induced_only: bool = True) -> ConditionReport:
     """Opposite corners of every square must have equal distance sums to every vertex."""
+    d = g.distances()
     for sq in squares(g, induced_only=induced_only):
         # Distances are symmetric: the corners' rows give every d(b, corner).
         r1, r2, r3, r4 = (d[u] for u in sq)
@@ -127,8 +128,8 @@ class BasisGraphReport:
     ic: ConditionReport
 
 
-def is_basis_graph(g: Graph, d: DistanceMatrix) -> BasisGraphReport:
+def is_basis_graph(g: Graph) -> BasisGraphReport:
     """A graph is a matroid basis graph iff it passes both WC and IC."""
-    wc = check_wc(g, d)
-    ic = check_ic(g, d)
+    wc = check_wc(g)
+    ic = check_ic(g)
     return BasisGraphReport(not isinstance(wc, WcCertificate) and ic.passed, wc, ic)

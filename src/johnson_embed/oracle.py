@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
-from .graphs import ConsistencyError, DistanceMatrix, Graph
+from .graphs import ConsistencyError, Graph
 from .embedder import verify_embedding
 
 
@@ -30,7 +30,7 @@ class OracleResult:
     nodes_explored: int
 
 
-def brute_force_embed(g: Graph, d: DistanceMatrix, m: int, n: int) -> OracleResult:
+def brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
     """Search for an embedding with labels of size m over a ground set of size n.
 
     Requires 1 <= m <= n/2 (larger m is equivalent by complementation).
@@ -40,6 +40,7 @@ def brute_force_embed(g: Graph, d: DistanceMatrix, m: int, n: int) -> OracleResu
         raise ValueError(f"require 1 <= m <= n/2, got (m, n) = ({m}, {n})")
     if comb(n, m) < g.n:
         return OracleResult(False, m, n, None, 0)
+    d = g.distances()
     order = _bfs_order(g)
     base = (1 << m) - 1
     placed: list[tuple[int, int]] = [(order[0], base)]
@@ -87,13 +88,14 @@ def brute_force_embed(g: Graph, d: DistanceMatrix, m: int, n: int) -> OracleResu
 MAX_GROUND = 20
 
 
-def oracle_decide(g: Graph, d: DistanceMatrix, n_max: int = 8) -> OracleResult:
+def oracle_decide(g: Graph, n_max: int = 8) -> OracleResult:
     """Try every (m, n) with 1 <= m <= n/2 <= n_max/2, in m-major order.
 
-    Returns the first hit with cumulative node counts, or a not-found result
-    whose negative answer covers only ground sets up to n_max.  A single
-    vertex embeds trivially with m = 0.  n_max above MAX_GROUND raises
-    ValueError before any search, which keeps the mask lists small.
+    Every search reads g's one distance matrix.  Returns the first hit with
+    cumulative node counts, or a not-found result whose negative answer
+    covers only ground sets up to n_max.  A single vertex embeds trivially
+    with m = 0.  n_max above MAX_GROUND raises ValueError before any search,
+    which keeps the mask lists small.
     """
     if n_max > MAX_GROUND:
         raise ValueError(f"ground set size {n_max} exceeds the oracle's limit of {MAX_GROUND}")
@@ -102,7 +104,7 @@ def oracle_decide(g: Graph, d: DistanceMatrix, n_max: int = 8) -> OracleResult:
     total = 0
     for m in range(1, n_max // 2 + 1):
         for n in range(2 * m, n_max + 1):
-            result = brute_force_embed(g, d, m, n)
+            result = brute_force_embed(g, m, n)
             total += result.nodes_explored
             if result.found:
                 return replace(result, nodes_explored=total)

@@ -1,16 +1,17 @@
 """Recognize line graphs of bipartite graphs and rebuild a bipartite root.
 
 The input (typically an atom graph, possibly disconnected) is a line graph
-of a bipartite graph exactly when it has no induced claw or diamond, every
-vertex lies in at most two maximal cliques, and the reconstructed root is
-2-colorable.  In a claw-free diamond-free graph the maximal cliques are
-edge-disjoint and cover all edges, so they form the Krausz partition
-directly.  The root has one vertex per clique; an input vertex in two
-cliques becomes the root edge joining them, a vertex in one clique gets a
-private pendant root vertex, and an isolated input vertex gets a fresh
-two-vertex root edge.  A triangle component of the input is thereby read as
-the line graph of a 3-star rather than of a 3-cycle, which is the only
-ambiguity and the only reading with a bipartite root.
+of a bipartite graph exactly when it has no induced claw or diamond and the
+reconstructed root is 2-colorable.  In a claw-free diamond-free graph the
+maximal cliques are edge-disjoint and cover all edges, so they form the
+Krausz partition directly, and no vertex lies in three of them: a neighbour
+from each of three would be the leaves of a claw.  The root has one vertex
+per clique; an input vertex in two cliques becomes the root edge joining
+them, a vertex in one clique gets a private pendant root vertex, and an
+isolated input vertex gets a fresh two-vertex root edge.  A triangle
+component of the input is thereby read as the line graph of a 3-star rather
+than of a 3-cycle, which is the only ambiguity and the only reading with a
+bipartite root.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .graphs import ConsistencyError, Graph, OddCycleWitness, is_bipartite
 
 CLAW = "CLAW"
 DIAMOND = "DIAMOND"
-VERTEX_IN_3_CLIQUES = "VERTEX_IN_3_CLIQUES"
 ODD_CYCLE_IN_ROOT = "ODD_CYCLE_IN_ROOT"
 
 
@@ -33,14 +33,12 @@ class RootCertificate:
 
     CLAW: vertices = (center, leaf, leaf, leaf), the leaves pairwise
     non-adjacent.  DIAMOND: vertices = (u, v, w, x) where uv is an edge and
-    w, x are non-adjacent common neighbors.  VERTEX_IN_3_CLIQUES: vertices =
-    (v,), cliques = three-plus maximal cliques through v.
-    ODD_CYCLE_IN_ROOT: cycle = odd cycle in the reconstructed root.
+    w, x are non-adjacent common neighbors.  ODD_CYCLE_IN_ROOT: cycle = odd
+    cycle in the reconstructed root.
     """
 
     kind: str
     vertices: tuple[int, ...] = ()
-    cliques: tuple[tuple[int, ...], ...] = ()
     cycle: tuple[int, ...] = ()
 
 
@@ -104,11 +102,6 @@ def krausz_partition(g: Graph) -> KrauszPartition | RootCertificate:
     for idx, clique in enumerate(ordered):
         for v in clique:
             membership[v].append(idx)
-    for v in range(g.n):
-        if len(membership[v]) > 2:
-            return RootCertificate(
-                VERTEX_IN_3_CLIQUES, vertices=(v,),
-                cliques=tuple(ordered[i] for i in membership[v]))
     return KrauszPartition(ordered, tuple(tuple(m) for m in membership))
 
 
@@ -126,10 +119,6 @@ class BipartiteRoot:
     b_side: tuple[int, ...]
     vertex_to_edge: tuple[tuple[int, int], ...]
     root: Graph
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.vertex_to_edge
 
 
 def bipartite_root(g: Graph) -> BipartiteRoot | RootCertificate:

@@ -10,11 +10,12 @@ data plus the deduplicated walls with multiplicities.
 This module is the only one that splits edges.  check_wc and check_wc_all
 are one scan that splits every edge once, in edge order.  Edges of one Θ
 class share their split, and the metric core keeps each distinct split once:
-splits memoizes it on the distance matrix under one canonical signature, so
-only the first edge of a class runs w_sets and induced_components and the
-rest share its tuples.  Within a scan each distinct half is tested for
-convexity once, and an edge whose split already passed adds no walls.  The
-later stages (Θ classes, the hypercube embedder) read the WallSystem.
+splits memoizes it on the graph's distance matrix under one canonical
+signature, so only the first edge of a class runs w_sets and
+induced_components and the rest share its tuples.  Within a scan each
+distinct half is tested for convexity once, and an edge whose split already
+passed adds no walls.  The later stages (Θ classes, the hypercube embedder)
+read the WallSystem.
 
 A split with no equidistant vertex, which every split of a bipartite graph
 is, is decided by its crossing edges, those yz with y in W_uv and z in W_vu
@@ -78,23 +79,25 @@ class EdgeWalls:
     eq_components: tuple[tuple[int, ...], ...]
 
 
-def splits(g: Graph, d: DistanceMatrix, edge: tuple[int, int]) -> EdgeWalls:
+def splits(g: Graph, edge: tuple[int, int]) -> EdgeWalls:
     """Compute the halfspace split of the given oriented edge.
 
-    The split is memoized on d.  Its signature d[t] - d[h] has entries in
-    {-1, 0, 1} that place every vertex, so it fixes the split, and its
-    negation is the same split oriented ht.  The key is the one orientation
-    whose first nonzero entry is -1: the tail t is nearer the first vertex
-    that is not equidistant from the ends.  That vertex is vertex 0 unless
-    vertex 0 is equidistant, so the orientation is read from row 0 and
-    flipped only in that case.  Every edge of a Θ class thus makes one
-    lookup and finds the entry its first edge stored; each distinct split
-    runs w_sets and induced_components once, and every other edge of its
-    class gets the same tuples, swapped for the opposite orientation.
+    The split is memoized on g's distance matrix d, the one matrix of the
+    graph.  Its signature d[t] - d[h] has entries in {-1, 0, 1} that place
+    every vertex, so it fixes the split, and its negation is the same split
+    oriented ht.  The key is the one orientation whose first nonzero entry
+    is -1: the tail t is nearer the first vertex that is not equidistant
+    from the ends.  That vertex is vertex 0 unless vertex 0 is equidistant,
+    so the orientation is read from row 0 and flipped only in that case.
+    Every edge of a Θ class thus makes one lookup and finds the entry its
+    first edge stored; each distinct split runs w_sets and
+    induced_components once, and every other edge of its class gets the
+    same tuples, swapped for the opposite orientation.
     """
     u, v = edge
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
+    d = g.distances()
     row0 = d[0]
     flip = row0[v] < row0[u]
     t, h = (v, u) if flip else (u, v)
@@ -142,7 +145,6 @@ class Wall:
 
     neg: tuple[int, ...]
     pos: tuple[int, ...]
-    source_edge: tuple[int, int]
     variant: str
 
 
@@ -159,7 +161,7 @@ class WcCertificate:
     witness: ConvexityWitness | None = None
 
 
-def check_wc_edge(g: Graph, d: DistanceMatrix, edge) -> "tuple[Wall, Wall] | WcCertificate":
+def check_wc_edge(g: Graph, edge) -> "tuple[Wall, Wall] | WcCertificate":
     """Check the wallspace condition at one edge.
 
     Returns the edge's two walls, or a certificate naming either more than
@@ -167,7 +169,7 @@ def check_wc_edge(g: Graph, d: DistanceMatrix, edge) -> "tuple[Wall, Wall] | WcC
     checked in the order PRIME neg, PRIME pos, DOUBLE_PRIME neg,
     DOUBLE_PRIME pos).
     """
-    return _walls_from_splits(d, splits(g, d, edge), {})
+    return _walls_from_splits(g.distances(), splits(g, edge), {})
 
 
 def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls,
@@ -180,8 +182,8 @@ def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls,
                              component_count=len(comps), components=comps)
     eq1 = comps[0] if comps else ()
     eq2 = comps[1] if len(comps) == 2 else ()
-    prime = Wall(_merge(ew.w_uv, eq1), _merge(ew.w_vu, eq2), ew.edge, PRIME)
-    double = Wall(_merge(ew.w_uv, eq2), _merge(ew.w_vu, eq1), ew.edge, DOUBLE_PRIME)
+    prime = Wall(_merge(ew.w_uv, eq1), _merge(ew.w_vu, eq2), PRIME)
+    double = Wall(_merge(ew.w_uv, eq2), _merge(ew.w_vu, eq1), DOUBLE_PRIME)
     for wall in (prime, double):
         for half in (wall.neg, wall.pos):
             verdict = verdicts.get(half)
@@ -226,7 +228,7 @@ class WallSystem:
         return sum(w.multiplicity for w in self.walls if w.separates(u, v))
 
 
-def _scan(g: Graph, d: DistanceMatrix):
+def _scan(g: Graph):
     """Yield (EdgeWalls, result) for every edge in order, splitting each once.
 
     result is the edge's two walls or its certificate, or None when an
@@ -235,12 +237,13 @@ def _scan(g: Graph, d: DistanceMatrix):
     new split with no equidistant vertex whose sides have no verdict yet
     first gets its Θ class test; if that passes, both sides are convex and
     is_convex is not called.  The passed splits are this scan's own, so a
-    second scan over the same d builds every wall again.
+    second scan of the same graph builds every wall again.
     """
+    d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     passed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for edge in g.edges:
-        ew = splits(g, d, edge)
+        ew = splits(g, edge)
         key = (ew.w_uv, ew.w_vu) if ew.w_uv < ew.w_vu else (ew.w_vu, ew.w_uv)
         if key in passed:
             yield ew, None
@@ -254,16 +257,17 @@ def _scan(g: Graph, d: DistanceMatrix):
         yield ew, result
 
 
-def check_wc(g: Graph, d: DistanceMatrix) -> "WallSystem | WcCertificate":
+def check_wc(g: Graph) -> "WallSystem | WcCertificate":
     """Check the wallspace condition on every edge, failing fast.
 
-    Edges are scanned in lexicographic order; the first failing edge's
-    certificate is returned.  On success the walls of all edges are
-    deduplicated into SystemWalls ordered by first appearance.
+    Edges are scanned in lexicographic order against g's one distance
+    matrix; the first failing edge's certificate is returned.  On success
+    the walls of all edges are deduplicated into SystemWalls ordered by
+    first appearance.
     """
     edge_walls: list[EdgeWalls] = []
     system: dict[tuple[tuple[int, ...], tuple[int, ...]], SystemWall] = {}
-    for ew, result in _scan(g, d):
+    for ew, result in _scan(g):
         if isinstance(result, WcCertificate):
             return result
         edge_walls.append(ew)
@@ -278,9 +282,9 @@ def check_wc(g: Graph, d: DistanceMatrix) -> "WallSystem | WcCertificate":
     return WallSystem(tuple(edge_walls), tuple(system.values()))
 
 
-def check_wc_all(g: Graph, d: DistanceMatrix) -> list[WcCertificate]:
+def check_wc_all(g: Graph) -> list[WcCertificate]:
     """Exhaustive variant: certificates for every failing edge (empty if none)."""
-    return [result for _, result in _scan(g, d) if isinstance(result, WcCertificate)]
+    return [result for _, result in _scan(g) if isinstance(result, WcCertificate)]
 
 
 def _canonical_halves(wall: Wall) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -60,12 +60,12 @@ def test_criterion_1_petersen_reproduction():
         g = petersen_graph()
         d = g.distances()
 
-        ws = check_wc(g, d)
+        ws = check_wc(g)
         assert not isinstance(ws, WcCertificate)
         assert len(ws.walls) == 6
         assert all(w.multiplicity == 1 for w in ws.walls)
         for edge in g.edges:
-            ew = splits(g, d, edge)
+            ew = splits(g, edge)
             assert len(ew.eq_components) == 2
             assert all(len(c) == 2 and g.has_edge(*c) for c in ew.eq_components)
         for w in ws.walls:
@@ -135,7 +135,7 @@ def test_criterion_3_oracle_agreement(full_corpus, corpus_decisions):
                 assert isinstance(result, RejectionCertificate), name
                 assert result.stage in ("WC", "AGC"), name
                 if g.n <= 8:
-                    res = oracle_decide(g, g.distances(), n_max=8)
+                    res = oracle_decide(g, n_max=8)
                     assert not res.found, name
         assert time.perf_counter() - start < 120.0
 
@@ -155,7 +155,7 @@ def test_criterion_4_fixed_small_decisions():
         assert (emb.m, emb.ground_set_size) == (3, 6)
         c6 = cycle_graph(6)
         d6 = c6.distances()
-        sigma = atom_graph(d6, theta1_classes(check_wc(c6, d6), d6, 0))
+        sigma = atom_graph(d6, theta1_classes(check_wc(c6), d6, 0))
         assert sigma.edges == ()
 
         assert isinstance(build_embedding(complete_graph(4)), Embedding)
@@ -221,9 +221,8 @@ def test_criterion_5_structural_claims(corpus_decisions):
 def test_criterion_6_condition_implications(corpus_decisions):
     with criterion("6 wall condition forces the square condition"):
         for name, g, result in corpus_decisions:
-            d = g.distances()
-            if not isinstance(check_wc(g, d), WcCertificate):
-                assert check_pc(g, d).passed, name
+            if not isinstance(check_wc(g), WcCertificate):
+                assert check_pc(g).passed, name
             if isinstance(result, Embedding):
                 assert check_lc(g).passed, name
 
@@ -232,11 +231,11 @@ def test_criterion_7_basis_graph_membership():
     with criterion("7 basis graph membership matches known families"):
         for m, n in [(1, 4), (2, 4), (2, 5), (3, 6)]:
             g = johnson_graph(m, n)
-            rep = is_basis_graph(g, g.distances())
+            rep = is_basis_graph(g)
             assert rep.passed, (m, n)
 
         g = cycle_graph(6)
-        rep = is_basis_graph(g, g.distances())
+        rep = is_basis_graph(g)
         assert not rep.passed
         w = rep.ic.witness
         assert w is not None
@@ -249,7 +248,7 @@ def test_criterion_7_basis_graph_membership():
         assert len(iv) not in (4, 5, 6)
 
         g = complete_bipartite_graph(2, 3)
-        rep = is_basis_graph(g, g.distances())
+        rep = is_basis_graph(g)
         assert not rep.passed
         assert isinstance(rep.wc, WcCertificate)
         cert = rep.wc
@@ -274,6 +273,6 @@ def test_criterion_8_partial_cube_agreement():
             assert emb.m == cube.dimension
             assert emb.ground_set_size == 2 * emb.m
             d = g.distances()
-            sigma = atom_graph(d, theta1_classes(check_wc(g, d), d, 0))
+            sigma = atom_graph(d, theta1_classes(check_wc(g), d, 0))
             assert sigma.edges == ()
             assert verify_embedding(g.distances(), emb.labels) is True

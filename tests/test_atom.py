@@ -14,7 +14,7 @@ from johnson_embed.atom import scalar, vertical_edges
 
 def classes_of(g, b=0):
     d = g.distances()
-    return theta1_classes(check_wc(g, d), d, b)
+    return theta1_classes(check_wc(g), d, b)
 
 
 def sigma_of(g, b=0, **kwargs):
@@ -46,7 +46,7 @@ def test_scalar_antisymmetry(corpus):
 def test_vertical_edges_orientation():
     g = cycle_graph(5)
     d = g.distances()
-    ve = vertical_edges(g, d, 0)
+    ve = vertical_edges(g, 0)
     assert ve == ((0, 1), (0, 4), (1, 2), (4, 3))
     for tail, head in ve:
         assert d[0][head] == d[0][tail] + 1
@@ -56,8 +56,7 @@ def test_vertical_edges_orientation():
 
 def test_vertical_edges_even_cycle_all_vertical():
     g = cycle_graph(6)
-    d = g.distances()
-    assert len(vertical_edges(g, d, 0)) == len(g.edges)
+    assert len(vertical_edges(g, 0)) == len(g.edges)
 
 
 def test_theta1_classes_cycle5():
@@ -84,10 +83,9 @@ def test_theta1_partitions_vertical_edges(corpus_decisions):
     for name, g, result in corpus_decisions:
         if not isinstance(result, Embedding):
             continue
-        d = g.distances()
         classes = classes_of(g)
         flat = [e for cls in classes.classes for e in cls]
-        assert sorted(flat) == list(vertical_edges(g, d, 0)), name
+        assert sorted(flat) == list(vertical_edges(g, 0)), name
 
 
 def test_same_class_iff_scalar_two(corpus_decisions):
@@ -159,7 +157,7 @@ def test_atom_graph_gated_on_wc(corpus):
     # The class machinery is only invoked after the wall check passes.
     for name, g in corpus:
         d = g.distances()
-        ws = check_wc(g, d)
+        ws = check_wc(g)
         if isinstance(ws, WcCertificate):
             continue
         classes = theta1_classes(ws, d, 0)

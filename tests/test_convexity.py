@@ -107,7 +107,7 @@ class _NoCache(dict):
 
 
 def _reference_walls(g, d):
-    return [walls._walls_from_splits(d, splits(g, d, e), _NoCache()) for e in g.edges]
+    return [walls._walls_from_splits(d, splits(g, e), _NoCache()) for e in g.edges]
 
 
 def _reference_system_walls(pairs):
@@ -140,9 +140,9 @@ def test_cached_scans_match_uncached_reference(monkeypatch):
     for i in range(300):
         g = random_connected_graph(4 + i % 8, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=i)
         d = g.distances()
-        wc = check_wc(g, d)
-        wc_all = check_wc_all(g, d)
-        cube = embed_hypercube(g, d)
+        wc = check_wc(g)
+        wc_all = check_wc_all(g)
+        cube = embed_hypercube(g)
         with monkeypatch.context() as m:
             m.setattr(walls, "is_convex", reference_is_convex)
             per_edge = _reference_walls(g, d)
@@ -153,7 +153,7 @@ def test_cached_scans_match_uncached_reference(monkeypatch):
             kinds.add(certs[0].kind)
         else:
             assert isinstance(wc, WallSystem)
-            assert wc.edge_walls == tuple(splits(g, d, e) for e in g.edges)
+            assert wc.edge_walls == tuple(splits(g, e) for e in g.edges)
             assert wc.walls == _reference_system_walls(per_edge)
             kinds.add("pass")
         if isinstance(is_bipartite(g), OddCycleWitness):

@@ -29,7 +29,8 @@ from johnson_embed.embedder import (
     IsometryWitness,
     bfs_tree,
 )
-from johnson_embed.graphs import distance_matrix
+from johnson_embed.graphs import _bfs_row, distance_matrix
+from johnson_embed.matroid import check_ic, check_pc, is_basis_graph
 
 from helpers import cartesian_product
 
@@ -385,3 +386,15 @@ def test_bipartite_embedding_decides_every_split_by_its_class(monkeypatch):
         assert isinstance(build_embedding(g), Embedding)
         assert calls == {"splits": len(g.edges), "w_sets": distinct[name],
                          "induced_components": distinct[name]}, name
+
+
+def test_graph_functions_read_the_graphs_own_matrix(monkeypatch):
+    # An accepting run reads every row of Q3's one matrix, so a function
+    # that takes the graph afterwards builds neither a matrix nor a row.
+    g = hypercube_graph(3)
+    assert isinstance(run_pipeline(g).result, Embedding)
+    calls = _count_calls(monkeypatch, (distance_matrix, _bfs_row))
+    for fn in (walls.check_wc, walls.check_wc_all, check_ic, check_pc,
+               is_basis_graph, embed_hypercube):
+        fn(g)
+        assert calls == {}, fn.__name__

@@ -1,3 +1,6 @@
+import inspect
+import sys
+import typing
 from itertools import combinations
 
 import pytest
@@ -14,11 +17,13 @@ from johnson_embed import (
     path_graph,
     petersen_graph,
 )
+from johnson_embed import atom, cli, embedder, graphs, matroid, oracle, rootgraph, walls
 from johnson_embed.graphs import (
     OCTAHEDRON,
     PYRAMID,
     SQUARE,
     ConvexityWitness,
+    DistanceMatrix,
     OddCycleWitness,
     distance_matrix,
     induced_components,
@@ -283,3 +288,29 @@ def test_induced_subgraph():
 def test_distances_cached():
     g = cycle_graph(4)
     assert g.distances() is g.distances()
+
+
+def _takes(fn, cls) -> bool:
+    """Whether some parameter of fn is annotated cls, alone or in a union."""
+    for p in inspect.signature(fn).parameters.values():
+        hint = p.annotation
+        if isinstance(hint, str):
+            hint = eval(hint, vars(sys.modules[fn.__module__]))
+        if hint is cls or cls in typing.get_args(hint):
+            return True
+    return False
+
+
+def test_no_function_takes_both_a_graph_and_its_metric():
+    # A function reads g.distances() itself or takes the metric d alone, so
+    # no caller can pair a graph with another graph's matrix.
+    both = []
+    checked = 0
+    for module in (graphs, walls, atom, rootgraph, embedder, matroid, oracle, cli):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__:
+                checked += 1
+                if _takes(fn, Graph) and _takes(fn, DistanceMatrix):
+                    both.append(f"{module.__name__}.{name}")
+    assert checked > 50
+    assert both == []

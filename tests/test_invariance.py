@@ -76,4 +76,4 @@ def test_oracle_agrees_with_the_pipeline_on_small_graphs(n, p, seed):
     accepted = isinstance(result, Embedding)
     # The oracle's default search covers ground sets of at most 8 elements.
     assume(not accepted or result.ground_set_size <= 8)
-    assert oracle_decide(g, g.distances()).found == accepted
+    assert oracle_decide(g).found == accepted

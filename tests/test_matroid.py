@@ -40,12 +40,12 @@ def test_squares_induced_flag():
 def test_check_ic_passes_on_johnson():
     for m, n in [(1, 4), (2, 4), (2, 5), (3, 6)]:
         g = johnson_graph(m, n)
-        assert check_ic(g, g.distances()).passed, (m, n)
+        assert check_ic(g).passed, (m, n)
 
 
 def test_check_ic_fails_on_cycle6():
     g = cycle_graph(6)
-    rep = check_ic(g, g.distances())
+    rep = check_ic(g)
     assert not rep.passed
     assert rep.condition == "IC"
     w = rep.witness
@@ -58,7 +58,7 @@ def test_check_ic_fails_on_petersen():
     # intervals have three vertices and match no allowed pattern.  Embedding
     # into a Johnson graph does not make a graph a basis graph.
     g = petersen_graph()
-    rep = check_ic(g, g.distances())
+    rep = check_ic(g)
     assert not rep.passed
     assert rep.witness.u == 0 and rep.witness.v == 1
     assert len(rep.witness.interval) == 3
@@ -66,7 +66,7 @@ def test_check_ic_fails_on_petersen():
 
 def test_check_pc_fails_on_complete_bipartite_2_3():
     g = complete_bipartite_graph(2, 3)
-    rep = check_pc(g, g.distances())
+    rep = check_pc(g)
     assert not rep.passed
     w = rep.witness
     assert w.basepoint == 4
@@ -81,7 +81,7 @@ def test_check_pc_fails_on_complete_bipartite_2_3():
 def test_check_pc_passes_on_hypercubes_and_johnson():
     for g in (hypercube_graph(3), johnson_graph(2, 4), johnson_graph(2, 5),
               petersen_graph()):
-        assert check_pc(g, g.distances()).passed
+        assert check_pc(g).passed
 
 
 def test_check_lc():
@@ -101,10 +101,9 @@ def test_check_lc():
 
 def test_wc_implies_pc(corpus_decisions):
     for name, g, _ in corpus_decisions:
-        d = g.distances()
-        if isinstance(check_wc(g, d), WcCertificate):
+        if isinstance(check_wc(g), WcCertificate):
             continue
-        assert check_pc(g, d).passed, name
+        assert check_pc(g).passed, name
 
 
 def test_accepted_implies_lc(corpus_decisions):
@@ -116,7 +115,7 @@ def test_accepted_implies_lc(corpus_decisions):
 def test_is_basis_graph_on_johnson_graphs():
     for m, n in [(1, 4), (2, 4), (2, 5), (3, 6)]:
         g = johnson_graph(m, n)
-        rep = is_basis_graph(g, g.distances())
+        rep = is_basis_graph(g)
         assert rep.passed, (m, n)
         assert rep.ic.passed
         assert not isinstance(rep.wc, WcCertificate)
@@ -124,7 +123,7 @@ def test_is_basis_graph_on_johnson_graphs():
 
 def test_is_basis_graph_rejects_cycle6_via_ic():
     g = cycle_graph(6)
-    rep = is_basis_graph(g, g.distances())
+    rep = is_basis_graph(g)
     assert not rep.passed
     assert not isinstance(rep.wc, WcCertificate)
     assert not rep.ic.passed
@@ -133,7 +132,7 @@ def test_is_basis_graph_rejects_cycle6_via_ic():
 
 def test_is_basis_graph_rejects_complete_bipartite_2_3_via_wc():
     g = complete_bipartite_graph(2, 3)
-    rep = is_basis_graph(g, g.distances())
+    rep = is_basis_graph(g)
     assert not rep.passed
     assert isinstance(rep.wc, WcCertificate)
     assert rep.wc.edge == (0, 2)
@@ -141,6 +140,6 @@ def test_is_basis_graph_rejects_complete_bipartite_2_3_via_wc():
 
 def test_path_is_not_a_basis_graph():
     g = path_graph(3)
-    rep = is_basis_graph(g, g.distances())
+    rep = is_basis_graph(g)
     assert not rep.passed
     assert not rep.ic.passed

@@ -18,7 +18,7 @@ from johnson_embed.oracle import MAX_GROUND, brute_force_embed
 
 def test_brute_force_finds_cycle5():
     g = cycle_graph(5)
-    res = brute_force_embed(g, g.distances(), 2, 5)
+    res = brute_force_embed(g, 2, 5)
     assert res.found
     assert res.m == 2 and res.n == 5
     assert verify_embedding(g.distances(), res.labels) is True
@@ -27,23 +27,23 @@ def test_brute_force_finds_cycle5():
 def test_brute_force_respects_bounds():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
-        brute_force_embed(g, g.distances(), 0, 5)
+        brute_force_embed(g, 0, 5)
     with pytest.raises(ValueError):
-        brute_force_embed(g, g.distances(), 3, 5)
+        brute_force_embed(g, 3, 5)
 
 
 def test_brute_force_too_few_subsets():
     # One-element subsets of a 2-set cannot label a triangle.
     g = complete_graph(3)
-    res = brute_force_embed(g, g.distances(), 1, 2)
+    res = brute_force_embed(g, 1, 2)
     assert not res.found
 
 
 def test_brute_force_rejects_cycle5_in_hypercube_sizes():
     g = cycle_graph(5)
-    res = brute_force_embed(g, g.distances(), 1, 2)
+    res = brute_force_embed(g, 1, 2)
     assert not res.found
-    res = brute_force_embed(g, g.distances(), 2, 4)
+    res = brute_force_embed(g, 2, 4)
     assert not res.found
 
 
@@ -57,7 +57,7 @@ def test_oracle_decide_small_cases():
         (cycle_graph(6), True, 3, 6),
     ]
     for g, found, m, n in cases:
-        res = oracle_decide(g, g.distances())
+        res = oracle_decide(g)
         assert res.found == found, g
         if found:
             assert (res.m, res.n) == (m, n), g
@@ -68,20 +68,20 @@ def test_oracle_decide_small_cases():
 def test_oracle_decide_minimizes_m_first():
     # Complete graphs embed as singleton labels; the scan must report m=1
     # rather than some larger subset size that also works.
-    res = oracle_decide(complete_graph(4), complete_graph(4).distances())
+    res = oracle_decide(complete_graph(4))
     assert (res.m, res.n) == (1, 4)
     # Half the ground set caps the diameter, so no accepted m can be
     # smaller than the graph diameter.
     for g in (cycle_graph(4), cycle_graph(6), path_graph(4)):
         d = g.distances()
-        res = oracle_decide(g, d)
+        res = oracle_decide(g)
         assert res.found
         assert res.m >= max(max(row) for row in d.rows)
 
 
 def test_oracle_decide_rejections():
     g = complete_bipartite_graph(2, 3)
-    res = oracle_decide(g, g.distances())
+    res = oracle_decide(g)
     assert not res.found
     assert res.nodes_explored > 0
 
@@ -94,27 +94,27 @@ def test_oracle_agrees_with_pipeline_on_corpus(corpus_decisions):
         if accepted and result.ground_set_size > 8:
             # The witness needs a larger ground set than the oracle scans.
             continue
-        res = oracle_decide(g, g.distances())
+        res = oracle_decide(g)
         assert res.found == accepted, name
 
 
 def test_oracle_finds_johnson_fixed_points():
     g = johnson_graph(2, 4)
-    res = oracle_decide(g, g.distances())
+    res = oracle_decide(g)
     assert res.found
     assert (res.m, res.n) == (2, 4)
 
 
 def test_oracle_petersen():
     g = petersen_graph()
-    res = oracle_decide(g, g.distances(), n_max=6)
+    res = oracle_decide(g, n_max=6)
     assert res.found
     assert (res.m, res.n) == (3, 6)
 
 
 def test_oracle_decide_bounds_the_ground_set(monkeypatch):
     g = cycle_graph(5)
-    res = oracle_decide(g, g.distances(), n_max=MAX_GROUND)
+    res = oracle_decide(g, n_max=MAX_GROUND)
     assert (res.found, res.m, res.n) == (True, 2, 5)
 
     def no_search(*args):
@@ -122,4 +122,4 @@ def test_oracle_decide_bounds_the_ground_set(monkeypatch):
 
     monkeypatch.setattr(oracle, "brute_force_embed", no_search)
     with pytest.raises(ValueError, match="limit of 20"):
-        oracle_decide(g, g.distances(), n_max=MAX_GROUND + 1)
+        oracle_decide(g, n_max=MAX_GROUND + 1)

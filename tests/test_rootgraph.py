@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
     ConsistencyError,
@@ -15,6 +16,7 @@ from johnson_embed import (
 )
 from johnson_embed.rootgraph import (
     BipartiteRoot,
+    KrauszPartition,
     RootCertificate,
     find_claw_or_diamond,
     krausz_partition,
@@ -78,6 +80,31 @@ def test_krausz_partition_path():
     assert part.membership == ((0,), (0, 1), (1, 2), (2,))
 
 
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 10 vertices, possibly disconnected."""
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, sorted(edges), require_connected=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_krausz_partition_is_a_claw_a_diamond_or_a_partition(g):
+    # Claw-free and diamond-free leave no vertex in three cliques.
+    part = krausz_partition(g)
+    if isinstance(part, RootCertificate):
+        assert part.kind in ("CLAW", "DIAMOND")
+        return
+    assert isinstance(part, KrauszPartition)
+    clique_edges = [pair for c in part.cliques for pair in combinations(c, 2)]
+    assert sorted(clique_edges) == list(g.edges)
+    for v, mem in enumerate(part.membership):
+        assert len(mem) <= 2
+        assert mem == tuple(i for i, c in enumerate(part.cliques) if v in c)
+
+
 def test_bipartite_root_path():
     # P4 is the line graph of P5.
     root = bipartite_root(path_graph(4))
@@ -139,7 +166,7 @@ def test_bipartite_root_petersen_atom_graph():
 
     g = petersen_graph()
     d = g.distances()
-    sigma = atom_graph(d, theta1_classes(check_wc(g, d), d, 0))
+    sigma = atom_graph(d, theta1_classes(check_wc(g), d, 0))
     root = bipartite_root(sigma)
     assert isinstance(root, BipartiteRoot)
     assert find_isomorphism(root.root, complete_bipartite_graph(3, 3)) is not None

@@ -55,7 +55,7 @@ def test_w_sets_partition(corpus):
 
 def test_splits_cycle5():
     g = cycle_graph(5)
-    ew = splits(g, g.distances(), (0, 1))
+    ew = splits(g, (0, 1))
     assert ew.w_uv == (0, 4)
     assert ew.w_vu == (1, 2)
     assert ew.eq_components == ((3,),)
@@ -63,7 +63,7 @@ def test_splits_cycle5():
 
 def test_splits_complete4():
     g = complete_graph(4)
-    ew = splits(g, g.distances(), (0, 1))
+    ew = splits(g, (0, 1))
     assert ew.w_uv == (0,)
     assert ew.w_vu == (1,)
     assert ew.eq_components == ((2, 3),)
@@ -72,12 +72,12 @@ def test_splits_complete4():
 def test_splits_rejects_non_edge():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
-        splits(g, g.distances(), (0, 2))
+        splits(g, (0, 2))
 
 
 def test_check_wc_edge_cycle5():
     g = cycle_graph(5)
-    walls = check_wc_edge(g, g.distances(), (0, 1))
+    walls = check_wc_edge(g, (0, 1))
     assert isinstance(walls, tuple)
     prime, double = walls
     assert prime.variant == PRIME
@@ -90,7 +90,7 @@ def test_check_wc_edge_cycle5():
 
 def test_check_wc_edge_nonconvex():
     g = complete_bipartite_graph(2, 3)
-    cert = check_wc_edge(g, g.distances(), (0, 2))
+    cert = check_wc_edge(g, (0, 2))
     assert isinstance(cert, WcCertificate)
     assert cert.kind == "NONCONVEX_HALFSPACE"
     assert cert.edge == (0, 2)
@@ -100,23 +100,23 @@ def test_check_wc_edge_nonconvex():
 
 def test_check_wc_fail_fast_picks_lex_first_edge():
     g = complete_bipartite_graph(2, 3)
-    cert = check_wc(g, g.distances())
+    cert = check_wc(g)
     assert isinstance(cert, WcCertificate)
     assert cert.edge == (0, 2)
 
 
 def test_check_wc_all_collects_every_edge():
     g = complete_bipartite_graph(2, 3)
-    certs = check_wc_all(g, g.distances())
+    certs = check_wc_all(g)
     assert len(certs) == 6
     assert [c.edge for c in certs] == list(g.edges)
     g = cycle_graph(6)
-    assert check_wc_all(g, g.distances()) == []
+    assert check_wc_all(g) == []
 
 
 def test_wall_system_cycle4():
     g = cycle_graph(4)
-    ws = check_wc(g, g.distances())
+    ws = check_wc(g)
     assert isinstance(ws, WallSystem)
     assert [(w.halves, w.multiplicity) for w in ws.walls] == [
         (((0, 3), (1, 2)), 2),
@@ -127,11 +127,11 @@ def test_wall_system_cycle4():
 def test_wall_system_petersen():
     g = petersen_graph()
     d = g.distances()
-    ws = check_wc(g, d)
+    ws = check_wc(g)
     assert len(ws.walls) == 6
     assert all(w.multiplicity == 1 for w in ws.walls)
     for u, v in g.edges:
-        ew = splits(g, d, (u, v))
+        ew = splits(g, (u, v))
         assert len(ew.eq_components) == 2
         assert all(len(c) == 2 for c in ew.eq_components)
     # Each wall splits the ten vertices into two convex 5-cycles.
@@ -148,7 +148,7 @@ def test_every_edge_separated_with_total_multiplicity_two(corpus_decisions):
     for name, g, result in corpus_decisions:
         if not isinstance(result, Embedding):
             continue
-        ws = check_wc(g, g.distances())
+        ws = check_wc(g)
         for u, v in g.edges:
             total = sum(w.multiplicity for w in ws.walls if w.separates(u, v))
             assert total == 2, (name, (u, v))
@@ -157,7 +157,7 @@ def test_every_edge_separated_with_total_multiplicity_two(corpus_decisions):
 def test_wall_halves_convex_and_partition(corpus):
     for name, g in corpus:
         d = g.distances()
-        result = check_wc(g, d)
+        result = check_wc(g)
         if isinstance(result, WcCertificate):
             continue
         for w in result.walls:
@@ -176,7 +176,7 @@ def test_separation_counts_distance(corpus):
                 or name == "petersen"):
             continue
         d = g.distances()
-        result = check_wc(g, d)
+        result = check_wc(g)
         if isinstance(result, WcCertificate):
             continue
         for u in range(g.n):
@@ -186,7 +186,7 @@ def test_separation_counts_distance(corpus):
 
 def test_path_walls():
     g = path_graph(4)
-    ws = check_wc(g, g.distances())
+    ws = check_wc(g)
     assert [(w.halves, w.multiplicity) for w in ws.walls] == [
         (((0,), (1, 2, 3)), 2),
         (((0, 1), (2, 3)), 2),
@@ -198,7 +198,7 @@ def test_complete_graph_walls():
     # K4 realizes m=1 over a 4-element ground set: one singleton wall per
     # element, and each pair of vertices is separated by exactly two of them.
     g = complete_graph(4)
-    ws = check_wc(g, g.distances())
+    ws = check_wc(g)
     assert len(ws.walls) == 4
     assert all(w.multiplicity == 1 for w in ws.walls)
     singles = sorted(w.halves[0] if len(w.halves[0]) == 1 else w.halves[1]
@@ -228,7 +228,7 @@ def test_splits_memo_matches_reference_and_shares_tuples(case):
     ref_d = distance_matrix(g)
     first = {}
     for u, v in oriented:
-        ew = splits(g, d, (u, v))
+        ew = splits(g, (u, v))
         w_uv, w_vu, w_eq = w_sets(ref_d, u, v)
         assert ew == EdgeWalls((u, v), w_uv, w_vu, induced_components(g, w_eq))
         key = (w_uv, w_vu) if w_uv < w_vu else (w_vu, w_uv)
@@ -247,7 +247,7 @@ def test_splits_memo_matches_reference_and_shares_tuples(case):
         assert next(filter(None, key)) == -1
         assert tuple(-x for x in key) not in keys
     # The Θ class test only reads the memo.
-    ews = [splits(g, d, edge) for edge in oriented]
+    ews = [splits(g, edge) for edge in oriented]
     memo = dict(d._splits)
     for ew in ews:
         if not ew.eq_components:
@@ -298,7 +298,7 @@ def test_class_test_decides_splits_with_no_equidistant_vertex(case):
     g, bipartite = case
     d = g.distances()
     for edge in g.edges:
-        ew = splits(g, d, edge)
+        ew = splits(g, edge)
         if ew.eq_components:
             continue
         passes = walls._class_passes(d, ew)
@@ -308,8 +308,8 @@ def test_class_test_decides_splits_with_no_equidistant_vertex(case):
         if bipartite:
             # Convex sides force every crossing edge's split.
             assert passes == convex, edge
-    ref_d = distance_matrix(g)
-    # A first scan leaves a second scan over d intact.
-    first = check_wc(g, d)
-    assert check_wc(g, d) == first == check_wc(g, ref_d)
-    assert check_wc_all(g, d) == check_wc_all(g, distance_matrix(g))
+    # A first scan leaves a second scan over the used matrix d intact: both
+    # equal a scan of a fresh copy of g, with a fresh matrix.
+    first = check_wc(g)
+    assert check_wc(g) == first == check_wc(Graph(g.n, g.edges))
+    assert check_wc_all(g) == check_wc_all(Graph(g.n, g.edges))
