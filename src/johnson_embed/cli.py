@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .embedder import (
     INTERNAL,
+    NOT_BIPARTITE,
     Embedding,
     HypercubeEmbedding,
     PipelineRun,
@@ -39,7 +40,7 @@ from .matroid import (
     is_basis_graph,
 )
 from .oracle import oracle_decide
-from .rootgraph import RootCertificate
+from .rootgraph import CLAW, DIAMOND, ODD_CYCLE_IN_ROOT, RootCertificate
 from .walls import WallSystem, WcCertificate, check_wc, check_wc_all
 
 
@@ -198,10 +199,10 @@ def _wc_human(cert: WcCertificate) -> str:
 
 
 def _root_human(cert: RootCertificate) -> str:
-    if cert.kind == "CLAW":
+    if cert.kind == CLAW:
         c, *leaves = cert.vertices
         return f"class {c} has pairwise non-adjacent class neighbors {leaves}"
-    if cert.kind == "DIAMOND":
+    if cert.kind == DIAMOND:
         u, v, w, x = cert.vertices
         return (f"classes ({u}, {v}) are adjacent with non-adjacent common "
                 f"neighbors ({w}, {x})")
@@ -228,7 +229,7 @@ def _rejection(rc: RejectionCertificate, run: PipelineRun) -> tuple[dict, str]:
         return payload, f"not embeddable (wallspace condition): {_wc_human(cert)}"
     if isinstance(cert, RootCertificate):
         payload["basepoint"] = run.basepoint
-        if cert.kind == "ODD_CYCLE_IN_ROOT" and run.sigma is not None:
+        if cert.kind == ODD_CYCLE_IN_ROOT and run.sigma is not None:
             # The deterministic reconstruction lets the cycle be rechecked.
             payload["class_count"] = run.sigma.n
         return payload, f"not embeddable (atom graph condition): {_root_human(cert)}"
@@ -474,7 +475,7 @@ def cmd_partial_cube(args) -> int:
               "\n".join([f"hypercube embeddable: dimension={result.dimension}",
                          *_label_lines(result.labels)]))
         return 0
-    if result.kind == "NOT_BIPARTITE":
+    if result.kind == NOT_BIPARTITE:
         human = f"not hypercube embeddable: odd cycle {list(result.odd_cycle)}"
     else:
         w = result.witness

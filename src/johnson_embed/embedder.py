@@ -32,13 +32,12 @@ from .graphs import (
     is_convex,  # noqa: F401
 )
 from .rootgraph import BipartiteRoot, RootCertificate, bipartite_root
-from .walls import WallSystem, WcCertificate, check_wc
+from .walls import NONCONVEX_HALFSPACE, WallSystem, WcCertificate, check_wc
 
 WC = "WC"
 AGC = "AGC"
 INTERNAL = "INTERNAL"
 NOT_BIPARTITE = "NOT_BIPARTITE"
-NONCONVEX_HALFSPACE = "NONCONVEX_HALFSPACE"
 
 
 @dataclass(frozen=True)

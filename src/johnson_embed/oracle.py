@@ -1,23 +1,23 @@
 """Brute-force embedding search, independent of the structural pipeline.
 
 Labels are bitmasks over a ground set of size n.  The search assigns
-vertices in BFS order from vertex 0, pruning on the pairwise requirement
-|X ^ Y| = 2 d(x, y) against every assigned vertex.  Vertex 0's image is
-fixed to the first m elements; composing with a permutation of the ground
-set that stabilizes that image setwise lets the second vertex's image be
-fixed too: keep the low m - t elements, add the first t outside, where t is
-the distance between the first two vertices.  A negative answer is
+vertices in BFS order from vertex 0 (the discovery order of graphs._bfs,
+the package's one structural traversal), pruning on the pairwise
+requirement |X ^ Y| = 2 d(x, y) against every assigned vertex.  Vertex 0's
+image is fixed to the first m elements; composing with a permutation of the
+ground set that stabilizes that image setwise lets the second vertex's image
+be fixed too: keep the low m - t elements, add the first t outside, where t
+is the distance between the first two vertices.  A negative answer is
 therefore one-sided: it only rules out ground sets up to the tried size.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
-from .graphs import ConsistencyError, Graph
+from .graphs import ConsistencyError, Graph, _bfs
 from .embedder import verify_embedding
 
 
@@ -30,18 +30,25 @@ class OracleResult:
     nodes_explored: int
 
 
+# brute_force_embed lists all C(n, m) label masks; C(20, 10) is 184,756.
+MAX_GROUND = 20
+
+
 def brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
     """Search for an embedding with labels of size m over a ground set of size n.
 
-    Requires 1 <= m <= n/2 (larger m is equivalent by complementation).
-    nodes_explored counts label assignments that passed the pairwise check.
+    Requires 1 <= m <= n/2 (larger m is equivalent by complementation) and
+    n <= MAX_GROUND, checked before any mask is listed.  nodes_explored
+    counts label assignments that passed the pairwise check.
     """
     if not (1 <= m and 2 * m <= n):
         raise ValueError(f"require 1 <= m <= n/2, got (m, n) = ({m}, {n})")
+    if n > MAX_GROUND:
+        raise ValueError(f"ground set size {n} exceeds the oracle's limit of {MAX_GROUND}")
     if comb(n, m) < g.n:
         return OracleResult(False, m, n, None, 0)
     d = g.distances()
-    order = _bfs_order(g)
+    order = _bfs(g.neighbors, 0, [-1] * g.n)
     base = (1 << m) - 1
     placed: list[tuple[int, int]] = [(order[0], base)]
     if g.n >= 2:
@@ -84,10 +91,6 @@ def brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
     return OracleResult(True, m, n, labels, nodes)
 
 
-# brute_force_embed lists all C(n, m) label masks; C(20, 10) is 184,756.
-MAX_GROUND = 20
-
-
 def oracle_decide(g: Graph, n_max: int = 8) -> OracleResult:
     """Try every (m, n) with 1 <= m <= n/2 <= n_max/2, in m-major order.
 
@@ -109,20 +112,6 @@ def oracle_decide(g: Graph, n_max: int = 8) -> OracleResult:
             if result.found:
                 return replace(result, nodes_explored=total)
     return OracleResult(False, None, None, None, total)
-
-
-def _bfs_order(g: Graph) -> list[int]:
-    order = [0]
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors[u]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    return order
 
 
 def _mask(combo: tuple[int, ...]) -> int:

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import ConsistencyError, Graph, OddCycleWitness, is_bipartite
+from .graphs import ConsistencyError, Graph, OddCycleWitness, _bfs, is_bipartite
 
 CLAW = "CLAW"
 DIAMOND = "DIAMOND"
@@ -172,29 +172,16 @@ def _verify_line_graph(g: Graph, raw_edges: list[tuple[int, int]]) -> None:
 
 def _pick_b_side(root: Graph, colors: tuple[int, ...]) -> set[int]:
     b_side: set[int] = set()
-    seen: set[int] = set()
+    parent = [-1] * root.n
     for r in range(root.n):
-        if r in seen:
+        if parent[r] >= 0:
             continue
-        comp = _component_of(root, r)
-        seen |= comp
+        comp = set(_bfs(root.neighbors, r, parent))
         side0 = {v for v in comp if colors[v] == 0}
         side1 = comp - side0
         # The component's smallest vertex has color 0, so ties pick side0.
         b_side |= side1 if len(side1) < len(side0) else side0
     return b_side
-
-
-def _component_of(root: Graph, start: int) -> set[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in root.neighbors[u]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return comp
 
 
 def line_graph(h: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:

@@ -1,7 +1,6 @@
 import pytest
 
 from johnson_embed import (
-    Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,

@@ -12,9 +12,7 @@ from johnson_embed import (
     ParseError,
     cycle_graph,
     complete_graph,
-    complete_bipartite_graph,
     parse_graph,
-    path_graph,
     petersen_graph,
 )
 from johnson_embed import atom, cli, embedder, graphs, matroid, oracle, rootgraph, walls

@@ -2,7 +2,6 @@ import pytest
 
 from johnson_embed import (
     Embedding,
-    build_embedding,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -123,3 +122,12 @@ def test_oracle_decide_bounds_the_ground_set(monkeypatch):
     monkeypatch.setattr(oracle, "brute_force_embed", no_search)
     with pytest.raises(ValueError, match="limit of 20"):
         oracle_decide(g, n_max=MAX_GROUND + 1)
+
+
+def test_brute_force_bounds_the_ground_set(monkeypatch):
+    def no_masks(combo):
+        raise AssertionError("listed masks past the ground set limit")
+
+    monkeypatch.setattr(oracle, "_mask", no_masks)
+    with pytest.raises(ValueError, match="limit of 20"):
+        brute_force_embed(cycle_graph(5), 1, MAX_GROUND + 1)

@@ -114,7 +114,7 @@ def test_bipartite_root_path():
     assert sorted(root.root.degree(v) for v in range(5)) == [1, 1, 2, 2, 2]
     assert len(root.b_side) == 2
     assert len(root.a_side) == 3
-    for x, (b_end, a_end) in enumerate(root.vertex_to_edge):
+    for _, (b_end, a_end) in enumerate(root.vertex_to_edge):
         assert b_end in root.b_side and a_end in root.a_side
         assert root.root.has_edge(b_end, a_end)
 
@@ -185,7 +185,7 @@ def test_line_graph_round_trip_on_random_bipartite():
         if not edges:
             continue
         h = Graph(a + b, edges, require_connected=False)
-        lg, edge_order = line_graph(h)
+        lg, _ = line_graph(h)
         result = bipartite_root(lg)
         assert isinstance(result, BipartiteRoot), (trial, edges)
         rebuilt, _ = line_graph(result.root)
