@@ -6,15 +6,19 @@ property of the input).  Certificates are printed with enough data to
 re-verify them against the input graph alone; --json switches every command
 from the human rendering to a stable JSON document on stdout.
 
-Each call builds only the parser of the subcommand its first argument names.
-With no argument, -h, an unknown subcommand or an unrecognized argument it
-builds all of them, so usage lines and errors are those of the full parser.
+Each call parses with the own parser of the subcommand its first argument
+names, the one the full parser would hand the remaining arguments to, and
+reads the terminal width once for it.  With no argument, -h, an unknown
+subcommand or an unrecognized argument it builds the full parser, so usage
+lines and errors are always those of the full parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -46,10 +50,14 @@ from .walls import WallSystem, WcCertificate, check_wc, check_wc_all
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args, extra = _parser(argv[0] if argv else None).parse_known_args(argv)
-    if extra:
-        # A narrowed parser's usage line names one subcommand; let the full
-        # one report the unrecognized arguments.
+    args = None
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if extra:
+            # The command's usage line names one subcommand; let the full
+            # parser report the unrecognized arguments.
+            args = None
+    if args is None:
         args = _parser().parse_args(argv)
     try:
         return args.func(args)
@@ -61,15 +69,28 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with only `command`'s subparser if it names one."""
+def _parser() -> argparse.ArgumentParser:
+    """The full argument parser, with a subparser for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="johnson-embed",
         description="Decide isometric embeddability into Johnson graphs.")
     sub = parser.add_subparsers(required=True)
     for name, (summary, add_arguments) in _SUBCOMMANDS.items():
-        if command not in _SUBCOMMANDS or command == name:
-            add_arguments(sub.add_parser(name, help=summary))
+        add_arguments(sub.add_parser(name, help=summary))
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser `_parser()` gives subcommand `name`, built on its own.
+
+    argparse makes a HelpFormatter for every argument it adds, and each would
+    read the terminal size; here they all get the width that read gives.
+    """
+    width = shutil.get_terminal_size().columns - 2
+    parser = argparse.ArgumentParser(
+        prog=f"johnson-embed {name}",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width))
+    _SUBCOMMANDS[name][1](parser)
     return parser
 
 

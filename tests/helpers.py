@@ -1,4 +1,8 @@
-"""Slow reference implementations used only to cross-check test expectations."""
+"""Slow reference implementations used only to cross-check test expectations,
+and a random connected graph builder for Hypothesis strategies."""
+
+import random
+from itertools import combinations
 
 from johnson_embed import Graph
 
@@ -56,3 +60,19 @@ def two_colorable(g: Graph) -> bool:
         if all((bits >> u) & 1 != (bits >> v) & 1 for u, v in g.edges):
             return True
     return False
+
+
+def random_tree_plus_edges(n: int, p: float, seed: int) -> Graph:
+    """A random connected graph on n vertices: a random spanning tree, each
+    vertex in a shuffled order joined to a random earlier one, plus every
+    other vertex pair independently with probability p.
+
+    Rejection sampling (`random_connected_graph`) can run out of attempts on
+    sparse draws such as n = 15 at p = 0.1, where a connected draw is rare;
+    this builder always succeeds.
+    """
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    tree = {tuple(sorted((order[rng.randrange(i)], order[i]))) for i in range(1, n)}
+    extra = {e for e in combinations(range(n), 2) if e not in tree and rng.random() < p}
+    return Graph(n, sorted(tree | extra))

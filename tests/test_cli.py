@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -364,7 +365,7 @@ def test_valid_argvs_cover_every_subcommand():
 @pytest.mark.parametrize("name", list(VALID_ARGV))
 def test_narrowed_parser_gives_the_full_parsers_namespace(name):
     argv = VALID_ARGV[name]
-    args, extra = cli._parser(name).parse_known_args(argv)
+    args, extra = cli._command_parser(name).parse_known_args(argv[1:])
     assert extra == []
     assert args == cli._parser().parse_args(argv)
     assert args.func is getattr(cli, "cmd_" + name.replace("-", "_"))
@@ -383,18 +384,26 @@ def test_top_level_usage_is_the_full_parsers(argv, capsys):
     assert _exit(main, argv, capsys) == _exit(cli._parser().parse_args, argv, capsys)
 
 
-def test_main_builds_only_the_invoked_subparser(k23, monkeypatch, capsys):
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_main_wraps_help_and_errors_at_the_terminal_width(columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", columns)
+    for name in VALID_ARGV:
+        for argv in ([name, "-h"], [name, "--nope"]):
+            narrowed = _exit(main, argv, capsys)
+            assert narrowed == _exit(cli._parser().parse_args, argv, capsys), argv
+
+
+def test_main_builds_one_parser_and_no_subparsers(k23, monkeypatch, capsys):
     built = []
-    add_parser = cli.argparse._SubParsersAction.add_parser
+    for cls in (argparse.ArgumentParser, argparse._SubParsersAction):
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(cli.argparse._SubParsersAction, "add_parser", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     assert main(["check", "lc", k23]) == 0
-    assert built == ["check"]
+    assert built == ["ArgumentParser"]
     capsys.readouterr()
-    # The subparser takes cmd_* when it is built, so a patched one is called.
+    # The parser takes cmd_* when it is built, so a patched one is called.
     monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
     assert main(["check", "lc", k23]) == 7

@@ -11,7 +11,6 @@ from johnson_embed import (
     hypercube_graph,
     path_graph,
     petersen_graph,
-    random_connected_graph,
 )
 from johnson_embed.graphs import (
     ConvexityWitness,
@@ -31,7 +30,7 @@ from johnson_embed.walls import (
     w_sets,
 )
 
-from helpers import cartesian_product
+from helpers import cartesian_product, random_tree_plus_edges
 
 
 def test_w_sets_cycle5():
@@ -212,7 +211,7 @@ def edges_in_random_order(draw):
     and its edges in a random order, each in a random orientation."""
     n = draw(st.integers(2, 15))
     p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
-    g = random_connected_graph(n, p, seed=draw(st.integers(0, 10**6)))
+    g = random_tree_plus_edges(n, p, seed=draw(st.integers(0, 10**6)))
     if draw(st.booleans()):
         g = cartesian_product(g, path_graph(2))
     edges = draw(st.permutations(g.edges))
@@ -285,7 +284,7 @@ def class_test_graphs(draw):
     if kind == "random":
         n = draw(st.integers(2, 15))
         p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
-        return random_connected_graph(n, p, seed=draw(st.integers(0, 10**6))), False
+        return random_tree_plus_edges(n, p, seed=draw(st.integers(0, 10**6))), False
     g = draw(bipartite_factor())
     if kind == "product":
         g = cartesian_product(g, draw(bipartite_factor().filter(lambda h: h.n <= 8)))
