@@ -2,17 +2,20 @@
 
 Every other module works on the two value types defined here.  A Graph is a
 finite simple undirected graph on vertices 0..n-1, immutable after
-construction.  A DistanceMatrix holds shortest-path hop distances; each row
-is computed by one BFS the first time it is read and then kept, so a scan
-that stops early pays only for the rows it read.  Graph.distances() caches
-one matrix per graph, whose row 0 is the BFS that checked the graph
-connected.  A function takes the graph, and reads that matrix itself, or the
-metric alone, never both, so every stage shares the one matrix by
-construction.  The matrix is the graph's metric core: it also keeps each
-distinct edge split once, under its canonical signature (see walls.splits),
-so the splits live and die with the rows they were read from.  is_convex
-decides a set from the rows of its boundary members (those with an outside
-neighbour) and finds a witness from the row of one BFS source.
+construction.  It is built in one validating pass over the input edges, its
+neighbor lists then sorted in place; its sorted edge tuple is built only on
+first read, so a scan that stops at an early edge walks the neighbor lists
+(_edges_in_order) instead.  A DistanceMatrix holds shortest-path hop
+distances; each row is computed by one BFS the first time it is read and
+then kept, so a scan that stops early pays only for the rows it read.
+Graph.distances() caches one matrix per graph, whose row 0 is the BFS that
+checked the graph connected.  A function takes the graph, and reads that
+matrix itself, or the metric alone, never both, so every stage shares the
+one matrix by construction.  The matrix is the graph's metric core: it also
+keeps each distinct edge split once, under its canonical signature (see
+walls.splits), so the splits live and die with the rows they were read from.
+is_convex decides a set from the rows of its boundary members (those with an
+outside neighbour) and finds a witness from the row of one BFS source.
 
 Two BFS loops live here.  _bfs_row computes a distance row level by level
 and serves only the matrix and the connectivity check.  _bfs is the one
@@ -91,12 +94,14 @@ class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
     Adjacency is stored as per-vertex sorted neighbor tuples plus a set of
-    int edge keys for constant-time lookup.  The distance matrix is
-    computed lazily and cached; the connectivity check's BFS becomes its
-    row 0.  Instances are treated as immutable.
+    int edge keys for constant-time lookup, both filled in one validating
+    pass over the input edges; each neighbor list is then sorted in place.
+    The sorted edge tuple is built on the first read of edges and kept.
+    The distance matrix is computed lazily and cached; the connectivity
+    check's BFS becomes its row 0.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "edges", "neighbors", "_edge_keys", "_row0", "_dist")
+    __slots__ = ("n", "neighbors", "_edge_keys", "_edges", "_row0", "_dist")
 
     def __init__(self, n: int, edges, *, require_connected: bool = True):
         if n < 0:
@@ -104,6 +109,7 @@ class Graph:
         # Edge (u, v), u < v, is keyed u * n + v: ints sort and hash faster
         # than pairs, and divmod by n gives the pair back in sorted order.
         keys: set[int] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex out of range in edge ({u}, {v})")
@@ -113,16 +119,14 @@ class Graph:
             if key in keys:
                 raise GraphError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             keys.add(key)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(map(divmod, sorted(keys), repeat(n)))
-        # Appending in sorted edge order leaves every neighbor list ascending:
-        # v's smaller neighbors u arrive with edges (u, v), all before (v, w).
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
+        for nb in adj:
+            nb.sort()
+        self.n = n
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._edge_keys = keys
+        self._edges: tuple[tuple[int, int], ...] | None = None
         self._row0: tuple[int, ...] | None = None
         self._dist: DistanceMatrix | None = None
         if require_connected:
@@ -133,6 +137,13 @@ class Graph:
                 raise GraphError(
                     f"graph is disconnected: vertex {row.index(-1)} unreachable from 0")
             self._row0 = tuple(row)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges (u, v), u < v, in lexicographic order; built on first read."""
+        if self._edges is None:
+            self._edges = tuple(map(divmod, sorted(self._edge_keys), repeat(self.n)))
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -151,7 +162,19 @@ class Graph:
         return self._dist
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self.edges)})"
+        return f"Graph(n={self.n}, edges={len(self._edge_keys)})"
+
+
+def _edges_in_order(g: Graph):
+    """Yield g's edges in the order of g.edges, read from the neighbor lists.
+
+    Neither sorts nor builds the edge tuple, so a consumer that stops at an
+    early edge pays only for the edges it took.
+    """
+    for u, nb in enumerate(g.neighbors):
+        for v in nb:
+            if u < v:
+                yield u, v
 
 
 class DistanceMatrix(dict):

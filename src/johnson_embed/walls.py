@@ -43,6 +43,7 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     GraphError,
+    _edges_in_order,
     induced_components,
     is_convex,
 )
@@ -231,6 +232,9 @@ class WallSystem:
 def _scan(g: Graph):
     """Yield (EdgeWalls, result) for every edge in order, splitting each once.
 
+    The edges are walked from g's sorted neighbor lists, in the order of
+    g.edges, so a scan that stops at an early edge never builds that tuple.
+
     result is the edge's two walls or its certificate, or None when an
     earlier edge had the same split and passed: the split's strict sides fix
     its equidistant components, so the walls and verdicts would repeat.  A
@@ -242,7 +246,7 @@ def _scan(g: Graph):
     d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     passed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for edge in g.edges:
+    for edge in _edges_in_order(g):
         ew = splits(g, edge)
         key = (ew.w_uv, ew.w_vu) if ew.w_uv < ew.w_vu else (ew.w_vu, ew.w_uv)
         if key in passed:

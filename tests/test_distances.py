@@ -47,6 +47,8 @@ def test_first_edge_rejection_reads_only_its_rows():
     assert result.payload.kind == TOO_MANY_COMPONENTS
     assert result.payload.edge == (0, 1)
     assert len(g.distances()) == 2
+    # The scan took its first edge from the neighbor lists.
+    assert g._edges is None
 
 
 def test_connectivity_check_row_becomes_row_0(monkeypatch):
@@ -70,6 +72,7 @@ def test_random_reject_decisions_read_few_rows():
         g = Graph(inp.n, inp.edges)
         assert isinstance(build_embedding(g), RejectionCertificate), inp.name
         rows += len(g.distances())
+        assert g._edges is None, inp.name
     assert rows <= 3000
 
 

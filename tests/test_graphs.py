@@ -4,7 +4,7 @@ import typing
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from johnson_embed import (
     Graph,
@@ -125,6 +125,19 @@ def test_graph_adjacency_matches_sorted_reference(case):
         missing = min(set(range(n)) - reached)
         with pytest.raises(GraphError, match=f"disconnected: vertex {missing} unreachable"):
             Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_input())
+def test_edge_tuple_is_built_on_first_read(case):
+    n, edges = case
+    assume(reference_first_error(n, edges) is None)
+    g = Graph(n, edges, require_connected=False)
+    assert repr(g) == f"Graph(n={n}, edges={len(edges)})"
+    assert g._edges is None
+    # The wall scan's walk over the neighbor lists gives the tuple's order.
+    assert tuple(graphs._edges_in_order(g)) == g.edges
+    assert g.edges is g.edges
 
 
 def test_graph_connectivity_error_names_vertex():
