@@ -12,8 +12,10 @@ Graph.distances() caches one matrix per graph, whose row 0 is the BFS that
 checked the graph connected.  A function takes the graph, and reads that
 matrix itself, or the metric alone, never both, so every stage shares the
 one matrix by construction.  The matrix is the graph's metric core: it also
-keeps each distinct edge split once, under its canonical signature (see
-walls.splits), so the splits live and die with the rows they were read from.
+packs a row read by the split code into one int, whose digits are the
+row's distances, on first use, and keeps each distinct edge split once,
+keyed by the difference of its ends' packed rows (see walls.splits), so the
+splits live and die with the rows they were read from.
 is_convex decides a set from the rows of its boundary members (those with an
 outside neighbour) and finds a witness from the row of one BFS source.
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import itemgetter, lt
+from struct import Struct
 
 
 class GraphError(ValueError):
@@ -177,6 +180,10 @@ def _edges_in_order(g: Graph):
                 yield u, v
 
 
+# struct format codes of the unsigned little-endian digits, by width in bytes.
+_ROW_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 class DistanceMatrix(dict):
     """Shortest-path hop distances of a connected graph: d[u][v] is d(u, v).
 
@@ -184,18 +191,33 @@ class DistanceMatrix(dict):
     level-synchronous BFS the first time d[u] is read and kept, so later
     reads are plain dict lookups.  Reading a vertex outside 0..n-1 raises
     IndexError; a row that leaves some vertex unreached raises GraphError.
-    It also keeps each distinct edge split once, under its canonical
-    signature, for walls.splits.
+
+    d.packed(u) is row u as one int P[u] whose digit x, in base 256**width,
+    is d(u, x); width is the fewest of 1, 2, 4 or 8 bytes (the struct
+    module's unsigned sizes) that hold n - 1, so every digit fits.  It is
+    built from the tuple row on first read and kept, and reads no other
+    row.  For an edge uv every digit of P[u] - P[v] lies in {-1, 0, 1}, so
+    a whole-row comparison is one subtraction, and d.compare(u, v) reads
+    the digits back as bytes.  The matrix also keeps each distinct edge
+    split once, keyed by abs(P[u] - P[v]), for walls.splits.
     """
 
-    __slots__ = ("n", "_neighbors", "_splits")
+    __slots__ = ("n", "width", "_ones", "_neighbors", "_pack_row", "_packed", "_splits")
 
     def __init__(self, g: Graph):
         super().__init__()
         self.n = g.n
+        width = 1
+        while 256 ** width < g.n:
+            width *= 2
+        self.width = width
+        # Every digit 1.
+        self._ones = int.from_bytes(b"\1".ljust(width, b"\0") * g.n, "little")
         self._neighbors = g.neighbors
-        # walls.splits: signature row d[u] - d[v] -> (w_uv, w_vu, eq components),
-        # oriented so that its first nonzero entry is -1.
+        self._pack_row = Struct(f"<{g.n}{_ROW_FORMATS[width]}").pack
+        self._packed: dict[int, int] = {}
+        # walls.splits: abs(P[u] - P[v]) -> (w_th, w_ht, eq components), where
+        # t, h are u, v ordered so that P[t] > P[h].
         self._splits: dict = {}
 
     def __missing__(self, s: int) -> tuple[int, ...]:
@@ -206,6 +228,24 @@ class DistanceMatrix(dict):
             raise GraphError("distance matrix requires a connected graph")
         row = self[s] = tuple(dist)
         return row
+
+    def packed(self, u: int) -> int:
+        """Row u as one int whose digit x, in base 256**width, is d(u, x)."""
+        p = self._packed.get(u)
+        if p is None:
+            p = self._packed[u] = int.from_bytes(self._pack_row(*self[u]), "little")
+        return p
+
+    def compare(self, u: int, v: int) -> bytes:
+        """For an edge uv, byte x is d(u, x) - d(v, x) + 1.
+
+        That is 0 when x is nearer u, 2 when x is nearer v and 1 when x is
+        equidistant.  No digit of P[u] + ones - P[v] exceeds 2 or borrows,
+        so each digit's low byte is the whole digit.
+        """
+        width = self.width
+        total = self.packed(u) + self._ones - self.packed(v)
+        return total.to_bytes(self.n * width, "little")[::width]
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:

@@ -10,12 +10,19 @@ data plus the deduplicated walls with multiplicities.
 This module is the only one that splits edges.  check_wc and check_wc_all
 are one scan that splits every edge once, in edge order.  Edges of one Θ
 class share their split, and the metric core keeps each distinct split once:
-splits memoizes it on the graph's distance matrix under one canonical
-signature, so only the first edge of a class runs w_sets and
-induced_components and the rest share its tuples.  Within a scan each
-distinct half is tested for convexity once, and an edge whose split already
-passed adds no walls.  The later stages (Θ classes, the hypercube embedder)
-read the WallSystem.
+splits memoizes it on the graph's distance matrix under one int key, so
+only the first edge of a class runs w_sets and induced_components and the
+rest share its tuples.  Within a scan each distinct half is tested for
+convexity once, and an edge whose split already passed adds no walls.  The
+later stages (Θ classes, the hypercube embedder) read the WallSystem.
+
+The split code works on the matrix's packed rows (DistanceMatrix.packed):
+row u as one int P[u] whose base-256**width digit x is d(u, x).  For an
+edge uv, P[u] - P[v] has the digits d(u, x) - d(v, x), each -1, 0 or 1, and
+its absolute value is the split's key (see splits); w_sets reads the three
+sides from those digits as bytes (DistanceMatrix.compare); and the Θ class
+test compares packed differences.  Each is a big-int operation where a
+tuple per edge was built and hashed before.
 
 A split with no equidistant vertex, which every split of a bipartite graph
 is, is decided by its crossing edges, those yz with y in W_uv and z in W_vu
@@ -25,17 +32,17 @@ edge (y, z), d(x, z) < d(x, y) as in graphs.is_convex, would lie in
 W_zy = W_vu; likewise for W_vu.  In a bipartite graph the converse holds:
 no vertex is equidistant from y and z, so an x in W_uv nearer z than y would
 put z on a shortest x-y path, against the convexity of W_uv.  The scan
-therefore compares each crossing edge's signature with the split's own
-before any convexity test.  When all match, neither side goes through
-is_convex.  When one differs (outside bipartite graphs that can happen even
-when both sides are convex), the sides go through is_convex as before, so
-every certificate is the one is_convex gives.
+therefore compares each crossing edge's packed difference P[y] - P[z] with
+the split's own before any convexity test.  When all match, neither side
+goes through is_convex.  When one differs (outside bipartite graphs that can
+happen even when both sides are convex), the sides go through is_convex as
+before, so every certificate is the one is_convex gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg, sub
+from itertools import compress
 
 from .graphs import (
     ConsistencyError,
@@ -54,20 +61,24 @@ TOO_MANY_COMPONENTS = "TOO_MANY_COMPONENTS"
 NONCONVEX_HALFSPACE = "NONCONVEX_HALFSPACE"
 
 
+# Selector tables for the bytes of DistanceMatrix.compare(u, v), which are 0
+# for a vertex nearer u, 2 for one nearer v and 1 for an equidistant one.
+_NEARER_TAIL = bytes.maketrans(b"\0\1\2", b"\1\0\0")
+_NEARER_HEAD = bytes.maketrans(b"\0\1\2", b"\0\0\1")
+_EQUIDISTANT = bytes.maketrans(b"\0\1\2", b"\0\1\0")
+
+
 def w_sets(d: DistanceMatrix, u: int, v: int):
-    """Split all vertices by distance comparison against u and v."""
-    w_uv = []
-    w_vu = []
-    w_eq = []
-    # Distances are symmetric, so rows u and v give d(x, u) and d(x, v).
-    for x, (dxu, dxv) in enumerate(zip(d[u], d[v])):
-        if dxu < dxv:
-            w_uv.append(x)
-        elif dxv < dxu:
-            w_vu.append(x)
-        else:
-            w_eq.append(x)
-    return tuple(w_uv), tuple(w_vu), tuple(w_eq)
+    """Split all vertices by distance comparison against the ends of edge uv."""
+    if v not in d._neighbors[u]:
+        raise GraphError(f"({u}, {v}) is not an edge")
+    compared = d.compare(u, v)
+    vertices = range(d.n)
+    # The list first: tuple() over compress's iterator grows and shrinks the
+    # tuple as it goes, and the resized tuples raised the benchmark's peak RSS.
+    return (tuple([*compress(vertices, compared.translate(_NEARER_TAIL))]),
+            tuple([*compress(vertices, compared.translate(_NEARER_HEAD))]),
+            tuple([*compress(vertices, compared.translate(_EQUIDISTANT))]))
 
 
 @dataclass(frozen=True)
@@ -84,12 +95,15 @@ def splits(g: Graph, edge: tuple[int, int]) -> EdgeWalls:
     """Compute the halfspace split of the given oriented edge.
 
     The split is memoized on g's distance matrix d, the one matrix of the
-    graph.  Its signature d[t] - d[h] has entries in {-1, 0, 1} that place
-    every vertex, so it fixes the split, and its negation is the same split
-    oriented ht.  The key is the one orientation whose first nonzero entry
-    is -1: the tail t is nearer the first vertex that is not equidistant
-    from the ends.  That vertex is vertex 0 unless vertex 0 is equidistant,
-    so the orientation is read from row 0 and flipped only in that case.
+    graph.  With P[u] the packed row u (DistanceMatrix.packed), the digits
+    of P[u] - P[v] are d(u, x) - d(v, x), in {-1, 0, 1}: they place every
+    vertex, so they fix the split, and the negation is the same split
+    oriented vu.  In a base of at least 256, digits in {-1, 0, 1} give each
+    int one such form, so two edges have equal differences exactly when
+    their splits are equal, and the sign of a difference is that of its
+    highest nonzero digit.  The key abs(P[u] - P[v]) is therefore one int
+    per unoriented split: the orientation t, h with P[t] > P[h], in which
+    the highest-numbered vertex not equidistant from the ends is nearer h.
     Every edge of a Θ class thus makes one lookup and finds the entry its
     first edge stored; each distinct split runs w_sets and
     induced_components once, and every other edge of its class gets the
@@ -99,19 +113,15 @@ def splits(g: Graph, edge: tuple[int, int]) -> EdgeWalls:
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
     d = g.distances()
-    row0 = d[0]
-    flip = row0[v] < row0[u]
-    t, h = (v, u) if flip else (u, v)
-    signature = tuple(map(sub, d[t], d[h]))
-    if next(filter(None, signature)) > 0:
-        t, h, flip = h, t, not flip
-        signature = tuple(map(neg, signature))
-    known = d._splits.get(signature)
+    diff = d.packed(u) - d.packed(v)
+    key = abs(diff)
+    known = d._splits.get(key)
     if known is None:
+        t, h = (u, v) if diff > 0 else (v, u)
         w_th, w_ht, w_eq = w_sets(d, t, h)
-        known = d._splits[signature] = w_th, w_ht, induced_components(g, w_eq)
+        known = d._splits[key] = w_th, w_ht, induced_components(g, w_eq)
     w_th, w_ht, comps = known
-    if flip:
+    if diff < 0:
         return EdgeWalls((u, v), w_ht, w_th, comps)
     return EdgeWalls((u, v), w_th, w_ht, comps)
 
@@ -120,17 +130,19 @@ def _class_passes(d: DistanceMatrix, ew: EdgeWalls) -> bool:
     """Decide a split with no equidistant vertex by its Θ class.
 
     True when every crossing edge, listed from the smaller side in ascending
-    order, has the split's own signature: both sides are then convex (see
-    the module docstring).  False at the first edge that differs.
+    order, has the split's own packed difference P[y] - P[z]: both sides are
+    then convex (see the module docstring).  False at the first edge that
+    differs.
     """
     (u, v), small, large = ew.edge, ew.w_uv, ew.w_vu
     if len(large) < len(small):
         u, v, small = v, u, large
-    signature = tuple(map(sub, d[u], d[v]))
+    packed = d.packed
+    diff = packed(u) - packed(v)
     inside = set(small)
     for y in small:
         for z in d._neighbors[y]:
-            if z not in inside and tuple(map(sub, d[y], d[z])) != signature:
+            if z not in inside and packed(y) - packed(z) != diff:
                 return False
     return True
 
@@ -245,10 +257,11 @@ def _scan(g: Graph):
     """
     d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
-    passed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for edge in _edges_in_order(g):
-        ew = splits(g, edge)
-        key = (ew.w_uv, ew.w_vu) if ew.w_uv < ew.w_vu else (ew.w_vu, ew.w_uv)
+    passed: set[int] = set()
+    for u, v in _edges_in_order(g):
+        ew = splits(g, (u, v))
+        # The split's memo key (see splits).
+        key = abs(d.packed(u) - d.packed(v))
         if key in passed:
             yield ew, None
             continue

@@ -72,6 +72,9 @@ def test_splits_rejects_non_edge():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
         splits(g, (0, 2))
+    # Packed-row digits place a vertex only for adjacent ends.
+    with pytest.raises(ValueError):
+        w_sets(g.distances(), 0, 2)
 
 
 def test_check_wc_edge_cycle5():
@@ -219,6 +222,19 @@ def edges_in_random_order(draw):
     return g, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
 
 
+def _decode_balanced(key, n, base):
+    """The n digits of key in base `base` with digits -1, 0 and 1, lowest first."""
+    digits = []
+    for _ in range(n):
+        key, r = divmod(key, base)
+        if r == base - 1:
+            r, key = -1, key + 1
+        assert r in (-1, 0, 1)
+        digits.append(r)
+    assert key == 0
+    return tuple(digits)
+
+
 @settings(max_examples=200, deadline=None)
 @given(edges_in_random_order())
 def test_splits_memo_matches_reference_and_shares_tuples(case):
@@ -239,12 +255,27 @@ def test_splits_memo_matches_reference_and_shares_tuples(case):
             assert ew.w_uv is (earlier.w_uv if same_way else earlier.w_vu)
             assert ew.w_vu is (earlier.w_vu if same_way else earlier.w_uv)
             assert ew.eq_components is earlier.eq_components
-    # One canonical key per split: its first nonzero entry is -1, so the
-    # negation, the same split oriented the other way, is never a key.
-    keys = set(d._splits)
-    for key in keys:
-        assert next(filter(None, key)) == -1
-        assert tuple(-x for x in key) not in keys
+    # One key per unoriented split: the int abs(P[u] - P[v]) of each of its
+    # edges.  Decoded as base-256**width digits in {-1, 0, 1}, it is the
+    # tuple signature ref_d[t] - ref_d[h] of the orientation with P[t] > P[h],
+    # and the memo entry's sides are the vertices with digit -1 and +1.
+    keys = {}
+    for u, v in oriented:
+        key = abs(d.packed(u) - d.packed(v))
+        assert key > 0
+        t, h = (u, v) if d.packed(u) > d.packed(v) else (v, u)
+        signature = tuple(a - b for a, b in zip(ref_d[t], ref_d[h]))
+        assert keys.setdefault(key, signature) == signature
+        assert _decode_balanced(key, g.n, 256 ** d.width) == signature
+        w_th, w_ht, _ = d._splits[key]
+        assert w_th == tuple(x for x, s in enumerate(signature) if s < 0)
+        assert w_ht == tuple(x for x, s in enumerate(signature) if s > 0)
+    assert set(d._splits) == set(keys)
+    # No two keys decode to one split, in either orientation.
+    signatures = set(keys.values())
+    assert len(signatures) == len(keys)
+    for signature in signatures:
+        assert tuple(-s for s in signature) not in signatures
     # The Θ class test only reads the memo.
     ews = [splits(g, edge) for edge in oriented]
     memo = dict(d._splits)
