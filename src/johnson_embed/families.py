@@ -103,22 +103,25 @@ def gen_family(name: str, params) -> Graph:
     return builder(*params)
 
 
-def random_connected_graph(n: int, p: float, seed: int, *,
-                           max_attempts: int = 1000) -> Graph:
+# Draws random_connected_graph makes before it gives up.
+_MAX_ATTEMPTS = 1000
+
+
+def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     """Reproducible random connected graph.
 
     Draws each of the n(n-1)/2 vertex pairs independently with probability
     p, scanning pairs in lexicographic order with one uniform draw per pair
     from random.Random(seed), and rejects disconnected outcomes, continuing
     the same stream.  The result is a pure function of (n, p, seed).  Raises
-    ValueError when all max_attempts draws are disconnected.
+    ValueError when all _MAX_ATTEMPTS draws are disconnected.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"need 0 < p <= 1, got {p}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         edges = [
             (i, j)
             for i, j in combinations(range(n), 2)
@@ -129,4 +132,4 @@ def random_connected_graph(n: int, p: float, seed: int, *,
         except GraphError:
             continue
     raise ValueError(
-        f"no connected graph on {n} vertices with p={p} after {max_attempts} attempts")
+        f"no connected graph on {n} vertices with p={p} after {_MAX_ATTEMPTS} attempts")

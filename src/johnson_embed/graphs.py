@@ -6,22 +6,24 @@ construction.  It is built in one validating pass over the input edges, its
 neighbor lists then sorted in place; its sorted edge tuple is built only on
 first read, so a scan that stops at an early edge walks the neighbor lists
 (_edges_in_order) instead.  A DistanceMatrix holds shortest-path hop
-distances; each row is computed by one BFS the first time it is read and
-then kept, so a scan that stops early pays only for the rows it read.
-Graph.distances() caches one matrix per graph, whose row 0 is the BFS that
-checked the graph connected.  A function takes the graph, and reads that
-matrix itself, or the metric alone, never both, so every stage shares the
-one matrix by construction.  The matrix is the graph's metric core: it also
-packs a row read by the split code into one int, whose digits are the
-row's distances, on first use, and keeps each distinct edge split once,
-keyed by the difference of its ends' packed rows (see walls.splits), so the
-splits live and die with the rows they were read from.
-is_convex decides a set from the rows of its boundary members (those with an
-outside neighbour) and finds a witness from the row of one BFS source.
+distances, each row computed by one BFS.  Row 0 is computed when the matrix
+is built, and it alone decides that the graph is connected; every other row
+is computed the first time it is read and then kept, so a scan that stops
+early pays only for the rows it read.  A connected Graph builds its matrix
+on construction, and Graph.distances() returns that one matrix.  A function
+takes the graph, and reads that matrix itself, or the metric alone, never
+both, so every stage shares the one matrix by construction.  The matrix is
+the graph's metric core: it also packs a row read by the split code into
+one int, whose digits are the row's distances, on first use, and keeps each
+distinct edge split once, keyed by the difference of its ends' packed rows
+(see walls.splits), so the splits live and die with the rows they were read
+from.  is_convex decides a set from the rows of its boundary members (those
+with an outside neighbour) and finds a witness from the row of one BFS
+source.
 
 Two BFS loops live here.  _bfs_row computes a distance row level by level
-and serves only the matrix and the connectivity check.  _bfs is the one
-structural traversal: it lists the vertices reached from a root in
+and serves only the matrix, whose row 0 is the connectivity check.  _bfs is
+the one structural traversal: it lists the vertices reached from a root in
 discovery order and records each one's BFS parent, and induced components,
 2-colouring, the root graph's colour classes (rootgraph) and the oracle's
 vertex order all go through it.  _bfs_row stays separate because it is the
@@ -100,11 +102,12 @@ class Graph:
     int edge keys for constant-time lookup, both filled in one validating
     pass over the input edges; each neighbor list is then sorted in place.
     The sorted edge tuple is built on the first read of edges and kept.
-    The distance matrix is computed lazily and cached; the connectivity
-    check's BFS becomes its row 0.  Instances are treated as immutable.
+    A connected graph builds its distance matrix on construction, and the
+    matrix's row 0 checks it connected; any other graph builds it on the
+    first call of distances().  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "neighbors", "_edge_keys", "_edges", "_row0", "_dist")
+    __slots__ = ("n", "neighbors", "_edge_keys", "_edges", "_dist")
 
     def __init__(self, n: int, edges, *, require_connected: bool = True):
         if n < 0:
@@ -130,16 +133,11 @@ class Graph:
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._edge_keys = keys
         self._edges: tuple[tuple[int, int], ...] | None = None
-        self._row0: tuple[int, ...] | None = None
         self._dist: DistanceMatrix | None = None
         if require_connected:
             if n == 0:
                 raise GraphError("a connected graph needs at least one vertex")
-            row = _bfs_row(self.neighbors, 0)
-            if -1 in row:
-                raise GraphError(
-                    f"graph is disconnected: vertex {row.index(-1)} unreachable from 0")
-            self._row0 = tuple(row)
+            self._dist = distance_matrix(self)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -187,10 +185,12 @@ _ROW_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 class DistanceMatrix(dict):
     """Shortest-path hop distances of a connected graph: d[u][v] is d(u, v).
 
-    A dict from vertex to its distance row.  Row u is computed by one
-    level-synchronous BFS the first time d[u] is read and kept, so later
-    reads are plain dict lookups.  Reading a vertex outside 0..n-1 raises
-    IndexError; a row that leaves some vertex unreached raises GraphError.
+    A dict from vertex to its distance row, each computed by one
+    level-synchronous BFS.  Row 0 is computed on construction, which raises
+    GraphError if it leaves some vertex unreached, so a matrix exists only
+    for a connected graph.  Any other row u is computed the first time d[u]
+    is read and kept, so later reads are plain dict lookups.  Reading a
+    vertex outside 0..n-1 raises IndexError.
 
     d.packed(u) is row u as one int P[u] whose digit x, in base 256**width,
     is d(u, x); width is the fewest of 1, 2, 4 or 8 bytes (the struct
@@ -207,6 +207,12 @@ class DistanceMatrix(dict):
     def __init__(self, g: Graph):
         super().__init__()
         self.n = g.n
+        if g.n:
+            row = _bfs_row(g.neighbors, 0)
+            if -1 in row:
+                raise GraphError(
+                    f"graph is disconnected: vertex {row.index(-1)} unreachable from 0")
+            self[0] = tuple(row)
         width = 1
         while 256 ** width < g.n:
             width *= 2
@@ -223,10 +229,7 @@ class DistanceMatrix(dict):
     def __missing__(self, s: int) -> tuple[int, ...]:
         if not 0 <= s < self.n:
             raise IndexError(f"vertex {s} out of range 0..{self.n - 1}")
-        dist = _bfs_row(self._neighbors, s)
-        if -1 in dist:
-            raise GraphError("distance matrix requires a connected graph")
-        row = self[s] = tuple(dist)
+        row = self[s] = tuple(_bfs_row(self._neighbors, s))
         return row
 
     def packed(self, u: int) -> int:
@@ -246,11 +249,6 @@ class DistanceMatrix(dict):
         width = self.width
         total = self.packed(u) + self._ones - self.packed(v)
         return total.to_bytes(self.n * width, "little")[::width]
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Every row in vertex order, computing those not read yet."""
-        return tuple(self[u] for u in range(self.n))
 
 
 def parse_graph(data: bytes | str) -> Graph:
@@ -317,18 +315,11 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Distances of g, row by row on first read; requires a connected graph.
+    """Distances of g, row 0 now and the rest on first read.
 
-    Row 0 is filled here: a graph built connected hands over the row of its
-    connectivity check, and any other graph has row 0 read now, so on a
-    disconnected graph the error surfaces here rather than at a later read.
+    Raises GraphError, naming an unreached vertex, if g is disconnected.
     """
-    d = DistanceMatrix(g)
-    if g._row0 is not None:
-        d[0] = g._row0
-    elif g.n:
-        d[0]
-    return d
+    return DistanceMatrix(g)
 
 
 def interval(d: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
@@ -440,11 +431,6 @@ class TwoColoring:
     """Proper 2-coloring; the smallest vertex of each component gets color 0."""
 
     colors: tuple[int, ...]
-
-    def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        zeros = tuple(v for v, c in enumerate(self.colors) if c == 0)
-        ones = tuple(v for v, c in enumerate(self.colors) if c == 1)
-        return zeros, ones
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
 """Slow reference implementations used only to cross-check test expectations,
-and a random connected graph builder for Hypothesis strategies."""
+a random connected graph builder for Hypothesis strategies, and a reader of
+every row of a distance matrix."""
 
 import random
 from itertools import combinations
 
 from johnson_embed import Graph
+
+
+def all_rows(d) -> tuple[tuple[int, ...], ...]:
+    """Every row of distance matrix d in vertex order, computing those not
+    read yet."""
+    return tuple(d[u] for u in range(d.n))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:

@@ -21,6 +21,8 @@ from johnson_embed import graphs
 from johnson_embed.graphs import distance_matrix, induced_components
 from johnson_embed.walls import TOO_MANY_COMPONENTS, EdgeWalls, splits
 
+from helpers import all_rows
+
 # The benchmark's seeded corpus, its independent checker and the helper that
 # turns an answer into the checker's document; none imports the program.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -67,12 +69,31 @@ def test_connectivity_check_row_becomes_row_0(monkeypatch):
     bfs_row = graphs._bfs_row
     monkeypatch.setattr(graphs, "_bfs_row", lambda nb, s: runs.append(s) or bfs_row(nb, s))
     g = Graph(5, [(3, 4), (0, 1), (1, 2), (2, 3)])
-    d = g.distances()
+    # Construction builds the matrix with its row 0, and nothing more.
     assert runs == [0]
+    d = g.distances()
     assert set(d) == {0}
+    assert runs == [0]
     assert d[0] == (0, 1, 2, 3, 4)
     d[4]
     assert runs == [0, 4]
+
+
+def test_one_distance_matrix_per_decision(monkeypatch):
+    # The benchmark's traced runs fail any decision, Graph plus
+    # build_embedding, that does not call graphs.distance_matrix exactly
+    # once; a Graph that built its matrix from the class directly would
+    # call it never.
+    built = []
+    distance_matrix = graphs.distance_matrix
+    monkeypatch.setattr(graphs, "distance_matrix",
+                        lambda g: built.append(g) or distance_matrix(g))
+    inputs = corpus.families_accept(1)[::3] + corpus.random_reject(1)[::40]
+    for inp in inputs:
+        built.clear()
+        g = Graph(inp.n, inp.edges)
+        build_embedding(g)
+        assert built == [g], inp.name
 
 
 def test_random_reject_decisions_read_few_rows():
@@ -146,16 +167,20 @@ def test_rows_read_in_any_order_match_reference(case):
         assert d[u] == want[u]
     assert len(d) == len({0, *reads})
     assert d.n == g.n
-    assert d.rows == want
+    assert all_rows(d) == want
     assert len(d) == g.n
 
 
 def test_disconnected_graph_fails_in_distance_matrix():
+    # The matrix's row 0 decides connectivity, with the constructor's message.
     g = Graph(4, [(0, 1), (2, 3)], require_connected=False)
-    with pytest.raises(GraphError, match="connected"):
+    with pytest.raises(GraphError, match="vertex 2 unreachable from 0"):
         distance_matrix(g)
+    with pytest.raises(GraphError, match="vertex 2 unreachable from 0"):
+        g.distances()
     empty = distance_matrix(Graph(0, [], require_connected=False))
-    assert empty.rows == ()
+    assert len(empty) == 0
+    assert all_rows(empty) == ()
 
 
 def test_rows_outside_the_vertices_raise_index_error():

@@ -11,7 +11,7 @@ from johnson_embed import (
     petersen_graph,
     random_connected_graph,
 )
-from helpers import find_isomorphism
+from helpers import all_rows, find_isomorphism
 
 
 def test_johnson_graph_shape():
@@ -85,7 +85,7 @@ def test_petersen_shape():
     assert len(g.edges) == 15
     assert all(g.degree(v) == 3 for v in range(10))
     d = g.distances()
-    assert max(max(row) for row in d.rows) == 2
+    assert max(max(row) for row in all_rows(d)) == 2
     # Girth five: no triangles, no squares.
     from johnson_embed.matroid import squares
 
@@ -113,7 +113,7 @@ def test_random_connected_graph_is_connected():
     for i in range(40):
         g = random_connected_graph(3 + i % 6, 0.4, seed=i)
         d = g.distances()
-        assert all(x < g.n for row in d.rows for x in row)
+        assert all(x < g.n for row in all_rows(d) for x in row)
 
 
 def test_random_connected_graph_validates():
@@ -128,4 +128,4 @@ def test_random_connected_graph_validates():
 def test_random_connected_graph_exhausts_budget():
     # Probability too small to ever connect five vertices.
     with pytest.raises(ValueError, match="no connected graph"):
-        random_connected_graph(5, 1e-12, seed=0, max_attempts=5)
+        random_connected_graph(5, 1e-12, seed=0)

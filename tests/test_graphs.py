@@ -32,7 +32,7 @@ from johnson_embed.graphs import (
     is_convex,
 )
 
-from helpers import find_isomorphism, two_colorable
+from helpers import all_rows, find_isomorphism, two_colorable
 
 
 def test_graph_normalizes_edges():
@@ -171,7 +171,7 @@ def test_distance_matrix_small_cases():
     assert d[0][1] == d[0][4] == 1
     assert d[0][2] == d[0][3] == 2
     d = distance_matrix(petersen_graph())
-    assert max(max(row) for row in d.rows) == 2
+    assert max(max(row) for row in all_rows(d)) == 2
 
 
 def test_distance_matrix_invariants(corpus):
@@ -222,10 +222,8 @@ def test_induced_components():
 
 def test_is_bipartite_sides():
     col = is_bipartite(cycle_graph(6))
-    even, odd = col.sides()
-    assert even == (0, 2, 4)
-    assert odd == (1, 3, 5)
-    assert col.colors[0] == 0
+    # Side 0 is (0, 2, 4) and side 1 is (1, 3, 5).
+    assert col.colors == (0, 1, 0, 1, 0, 1)
 
 
 def test_is_bipartite_odd_cycle_witness():
