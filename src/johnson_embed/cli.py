@@ -7,8 +7,9 @@ re-verify them against the input graph alone; --json switches every command
 from the human rendering to a stable JSON document on stdout.
 
 Each call parses with the own parser of the subcommand its first argument
-names, the one the full parser would hand the remaining arguments to, and
-reads the terminal width once for it.  With no argument, -h, an unknown
+names, the one the full parser would hand the remaining arguments to.  That
+parser is built once per process for each subcommand and terminal width, so a
+later call reads the width and parses.  With no argument, -h, an unknown
 subcommand or an unrecognized argument it builds the full parser, so usage
 lines and errors are always those of the full parser.
 """
@@ -52,7 +53,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = None
     if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        width = shutil.get_terminal_size().columns - 2
+        args, extra = _command_parser(argv[0], width).parse_known_args(argv[1:])
         if extra:
             # The command's usage line names one subcommand; let the full
             # parser report the unrecognized arguments.
@@ -60,7 +62,8 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A kept parser holds the cmd_* it was built with; call the current one.
+        return globals()[args.func.__name__](args)
     except (OSError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -80,13 +83,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser `_parser()` gives subcommand `name`, built on its own.
+@functools.cache
+def _command_parser(name: str, width: int) -> argparse.ArgumentParser:
+    """The parser `_parser()` gives subcommand `name`, built once and kept.
 
-    argparse makes a HelpFormatter for every argument it adds, and each would
-    read the terminal size; here they all get the width that read gives.
+    argparse makes a HelpFormatter for every argument it adds and for every
+    usage line or help it prints, and each would read the terminal size; here
+    they all get `width`, the terminal's columns less 2 as argparse takes it.
     """
-    width = shutil.get_terminal_size().columns - 2
     parser = argparse.ArgumentParser(
         prog=f"johnson-embed {name}",
         formatter_class=functools.partial(argparse.HelpFormatter, width=width))
@@ -163,7 +167,8 @@ def _partial_cube_arguments(p: argparse.ArgumentParser) -> None:
 
 
 # Subcommand -> (help, function that adds its arguments), in help order.  The
-# functions read cmd_* when the parser is built, so a patched cmd_* is called.
+# functions bind cmd_* when the parser is built, and `main` calls the module's
+# cmd_* of that name, so one patched after a parser was kept is still called.
 _SUBCOMMANDS = {
     "embed": ("embed a graph or print a refutation certificate", _embed_arguments),
     "check": ("run a single structural condition", _check_arguments),

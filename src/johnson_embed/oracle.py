@@ -98,8 +98,11 @@ def oracle_decide(g: Graph, n_max: int = 8) -> OracleResult:
     cumulative node counts, or a not-found result whose negative answer
     covers only ground sets up to n_max.  A single vertex embeds trivially
     with m = 0.  n_max above MAX_GROUND raises ValueError before any search,
-    which keeps the mask lists small.
+    which keeps the mask lists small; so does a negative n_max, which no
+    ground set meets.
     """
+    if n_max < 0:
+        raise ValueError(f"ground set size bound {n_max} is negative")
     if n_max > MAX_GROUND:
         raise ValueError(f"ground set size {n_max} exceeds the oracle's limit of {MAX_GROUND}")
     if g.n == 1:

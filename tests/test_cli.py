@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 
 import pytest
@@ -245,6 +246,16 @@ def test_oracle_cli_rejects_a_large_ground_set(k23, capsys, monkeypatch):
     assert captured.err.startswith("error: ground set size 30 exceeds")
 
 
+def test_oracle_cli_refuses_a_negative_bound(c5, capsys):
+    for flag in (["--json"], []):
+        assert main(["oracle", c5, "--max-ground", "-1", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ground set size bound -1 is negative\n"
+    assert main(["oracle", c5, "--max-ground", "0"]) == 1
+    assert capsys.readouterr().out == "no embedding found with ground set size <= 0\n"
+
+
 def test_verify_cli(c5, tmp_path, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("0 1\n1 3\n2 3\n2 4\n0 4\n", encoding="utf-8")
@@ -365,7 +376,7 @@ def test_valid_argvs_cover_every_subcommand():
 @pytest.mark.parametrize("name", list(VALID_ARGV))
 def test_narrowed_parser_gives_the_full_parsers_namespace(name):
     argv = VALID_ARGV[name]
-    args, extra = cli._command_parser(name).parse_known_args(argv[1:])
+    args, extra = cli._command_parser(name, 78).parse_known_args(argv[1:])
     assert extra == []
     assert args == cli._parser().parse_args(argv)
     assert args.func is getattr(cli, "cmd_" + name.replace("-", "_"))
@@ -394,6 +405,8 @@ def test_main_wraps_help_and_errors_at_the_terminal_width(columns, monkeypatch, 
 
 
 def test_main_builds_one_parser_and_no_subparsers(k23, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._command_parser.cache_clear()
     built = []
     for cls in (argparse.ArgumentParser, argparse._SubParsersAction):
         def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
@@ -403,7 +416,48 @@ def test_main_builds_one_parser_and_no_subparsers(k23, monkeypatch, capsys):
         monkeypatch.setattr(cls, "__init__", counting)
     assert main(["check", "lc", k23]) == 0
     assert built == ["ArgumentParser"]
+    # The parser is kept: a second call builds none, another subcommand one.
+    assert main(["check", "lc", k23]) == 0
+    assert built == ["ArgumentParser"]
+    assert main(["embed", k23]) == 1
+    assert built == ["ArgumentParser"] * 2
     capsys.readouterr()
-    # The parser takes cmd_* when it is built, so a patched one is called.
+    # The kept parser was built with the original cmd_check, but main calls
+    # the module's current one.
     monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
     assert main(["check", "lc", k23]) == 7
+    assert built == ["ArgumentParser"] * 2
+
+
+def test_kept_parsers_follow_the_terminal_width(monkeypatch, capsys):
+    cli._command_parser.cache_clear()
+    for columns in ("40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for name in VALID_ARGV:
+            for argv in _failing_argvs(name):
+                narrowed = _exit(main, argv, capsys)
+                assert narrowed == _exit(cli._parser().parse_args, argv, capsys), (columns, argv)
+    assert cli._command_parser.cache_info().currsize == 2 * len(VALID_ARGV)
+
+
+def test_kept_parser_starts_each_call_from_the_defaults(k23, capsys):
+    assert main(["check", "wc", k23, "--all", "--json"]) == 1
+    assert "certificates" in json.loads(capsys.readouterr().out)
+    misses = cli._command_parser.cache_info().misses
+    assert main(["check", "wc", k23, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "certificates" not in doc
+    assert doc["edge"] == [0, 2]
+    assert cli._command_parser.cache_info().misses == misses
+
+
+def test_a_warm_call_leaves_no_cyclic_garbage(k23, capsys):
+    assert main(["check", "lc", k23]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(["check", "lc", k23]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

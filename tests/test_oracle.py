@@ -126,6 +126,23 @@ def test_oracle_decide_bounds_the_ground_set(monkeypatch):
         oracle_decide(g, n_max=MAX_GROUND + 1)
 
 
+def test_oracle_decide_refuses_a_negative_bound(monkeypatch):
+    g = cycle_graph(5)
+    assert oracle_decide(g, n_max=0).found is False
+    assert oracle_decide(g, n_max=1).found is False
+    single = path_graph(1)
+    assert oracle_decide(single, n_max=0).found is True
+    assert oracle_decide(single, n_max=1).found is True
+
+    def no_search(*args):
+        raise AssertionError("searched under a negative bound")
+
+    monkeypatch.setattr(oracle, "brute_force_embed", no_search)
+    for bad in (g, single):
+        with pytest.raises(ValueError, match="ground set size bound -1 is negative"):
+            oracle_decide(bad, n_max=-1)
+
+
 def test_brute_force_bounds_the_ground_set(monkeypatch):
     def no_masks(combo):
         raise AssertionError("listed masks past the ground set limit")
