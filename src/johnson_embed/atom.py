@@ -15,6 +15,8 @@ representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter, sub
 
 from .graphs import ConsistencyError, DistanceMatrix, Graph
 from .walls import WallSystem
@@ -58,18 +60,23 @@ class ThetaClasses:
 def theta1_classes(ws: WallSystem, d: DistanceMatrix, b: int) -> ThetaClasses:
     """Group the vertical edges of basepoint b by the splits in ws.
 
-    Taking the WallSystem means the wallspace check has passed.  Defensively
-    verifies that edges sharing a split pair have scalar 2 against their
-    class representative.
+    Taking the WallSystem means the wallspace check has passed, and that
+    check read every row of the graph's matrix d.  A vertical edge oriented (t, h), tail t
+    nearer b, is keyed by the packed difference P[t] - P[h], whose digits
+    d(t, x) - d(h, x) place every vertex on its side (walls.splits): equal
+    keys mean the same split in the same orientation, so the classes are
+    those of equal split pairs.  Defensively verifies that edges sharing a
+    split pair have scalar 2 against their class representative.
     """
     db = d[b]
-    groups: dict[tuple, list[tuple[int, int]]] = {}
+    rows = d._packed_rows()
+    groups: dict[int, list[tuple[int, int]]] = {}
     for ew in ws.edge_walls:
         u, v = ew.edge
         if db[u] < db[v]:
-            groups.setdefault((ew.w_uv, ew.w_vu), []).append((u, v))
+            groups.setdefault(rows[u] - rows[v], []).append((u, v))
         elif db[v] < db[u]:
-            groups.setdefault((ew.w_vu, ew.w_uv), []).append((v, u))
+            groups.setdefault(rows[v] - rows[u], []).append((v, u))
     classes = sorted(tuple(sorted(members)) for members in groups.values())
     for members in classes:
         rep = members[0]
@@ -89,23 +96,35 @@ def atom_graph(d: DistanceMatrix, classes: ThetaClasses, *,
     representatives of distinct classes is 0 or 1 and does not depend on the
     representatives.  With paranoid=True every cross pair is recomputed and
     any disagreement raises ConsistencyError.
+
+    For representatives e = (u, v) and f = (x, y), with c = d.compare(u, v),
+    scalar(e, f) is c[y] - c[x]: byte x of c is d(u, x) - d(v, x) + 1, and
+    the ones cancel.  So each representative reads one comparison and the
+    scalars against every later representative at C speed.
     """
     reps = [cls[0] for cls in classes.classes]
     k = len(reps)
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            value = scalar(d, reps[i], reps[j])
-            if value not in (0, 1):
-                raise ConsistencyError(
-                    f"classes {i} and {j} have representative scalar {value}")
-            if paranoid:
-                for e in classes.classes[i]:
-                    for f in classes.classes[j]:
-                        if scalar(d, e, f) != value:
-                            raise ConsistencyError(
-                                f"scalar of {e}, {f} disagrees with class "
-                                f"representatives of {i}, {j}")
-            if value == 1:
-                edges.append((i, j))
+    # A leading 0 keeps both itemgetter results tuples when one class
+    # follows (itemgetter of one index returns a bare value); the difference
+    # it adds, c[0] - c[0], is dropped.  The last class has none following.
+    tails = [0, *(x for x, _ in reps)]
+    heads = [0, *(y for _, y in reps)]
+    edges: list[tuple[int, int]] = []
+    for i, (u, v) in enumerate(reps[:-1]):
+        c = d.compare(u, v)
+        values = [*map(sub, itemgetter(0, *heads[i + 2:])(c),
+                       itemgetter(0, *tails[i + 2:])(c))][1:]
+        if paranoid or not {0, 1}.issuperset(values):
+            for j, value in enumerate(values, i + 1):
+                if value not in (0, 1):
+                    raise ConsistencyError(
+                        f"classes {i} and {j} have representative scalar {value}")
+                if paranoid:
+                    for e in classes.classes[i]:
+                        for f in classes.classes[j]:
+                            if scalar(d, e, f) != value:
+                                raise ConsistencyError(
+                                    f"scalar of {e}, {f} disagrees with class "
+                                    f"representatives of {i}, {j}")
+        edges += zip(repeat(i), compress(range(i + 1, k), values))
     return Graph(k, edges, require_connected=False)

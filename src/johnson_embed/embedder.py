@@ -149,6 +149,9 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     parent = bfs_tree(g, b)
     labels: list[frozenset[int] | None] = [None] * g.n
     labels[b] = frozenset(range(m))
+    # masks[v] is labels[v] as an int, bit e set for element e.
+    masks = [0] * g.n
+    masks[b] = (1 << m) - 1
     internal: InternalWitness | None = None
     for v in sorted(range(g.n), key=lambda v: (d[b][v], v)):
         if v == b:
@@ -166,8 +169,9 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
                 (u, v, lam, i, j, tuple(sorted(lu))))
             break
         labels[v] = (lu - {i}) | {j}
+        masks[v] = masks[u] ^ 1 << i ^ 1 << j
     if internal is None:
-        verdict = verify_embedding(d, labels)
+        verdict = _verify_masks(d, masks)
         if verdict is not True:
             internal = InternalWitness(
                 "constructed labeling failed isometry verification",
@@ -210,6 +214,15 @@ def verify_embedding(d: DistanceMatrix, labels) -> "bool | IsometryWitness":
         raise ValueError(f"expected {d.n} labels, got {len(masks)}")
     if len({mask.bit_count() for mask in masks}) > 1:
         raise ValueError("labels must all have the same size")
+    return _verify_masks(d, masks)
+
+
+def _verify_masks(d: DistanceMatrix, masks: list[int]) -> "bool | IsometryWitness":
+    """verify_embedding on labels given as int bitmasks of one size.
+
+    A bijection of the elements keeps every symmetric difference, so any
+    numbering gives the same answer and witness.
+    """
     mismatch = _first_mismatch(d, masks, 2)
     if mismatch is None:
         return True

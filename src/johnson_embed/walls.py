@@ -37,6 +37,19 @@ the split's own before any convexity test.  When all match, neither side
 goes through is_convex.  When one differs (outside bipartite graphs that can
 happen even when both sides are convex), the sides go through is_convex as
 before, so every certificate is the one is_convex gives.
+
+Once every row of the matrix exists (len(d) == d.n), the scan decides a
+half H with no verdict yet from its cut edges (y, z), y in H and z outside,
+and the list of all packed rows (DistanceMatrix._packed_rows).  Digit x of
+P[y] + ones - P[z] is d(y, x) - d(z, x) + 1, and it is 2 exactly when x is
+nearer z, which is is_convex's criterion for member x leaking through
+(y, z); no digit exceeds 2 or borrows (DistanceMatrix.compare), so this
+holds at every digit width.  With twos the int whose digit is 2 at each
+member of H, H is convex iff (P[y] + ones - P[z]) & twos is 0 for every cut
+edge: the test is exact both ways.  A half that passes is convex; only a
+half that fails goes to is_convex, for its lexicographic witness.  The path
+reads no row, as every row exists, so which rows a decision reads does not
+change.  The Θ class test and the split keys read the same list.
 """
 
 from __future__ import annotations
@@ -137,12 +150,37 @@ def _class_passes(d: DistanceMatrix, ew: EdgeWalls) -> bool:
     (u, v), small, large = ew.edge, ew.w_uv, ew.w_vu
     if len(large) < len(small):
         u, v, small = v, u, large
-    packed = d.packed
+    # A complete matrix's row list reads no row and is cheaper to index
+    # than packed() is to call.
+    packed = d._packed_rows().__getitem__ if len(d) == d.n else d.packed
     diff = packed(u) - packed(v)
     inside = set(small)
     for y in small:
         for z in d._neighbors[y]:
             if z not in inside and packed(y) - packed(z) != diff:
+                return False
+    return True
+
+
+def _leak_free(d: DistanceMatrix, half: tuple[int, ...]) -> bool:
+    """True iff half is convex, from the packed rows of a complete matrix.
+
+    One subtraction and one mask test per cut edge, exact both ways (see
+    the module docstring); reads no row.
+    """
+    n, width, rows, ones = d.n, d.width, d._packed_rows(), d._ones
+    inside = bytearray(n)
+    for x in half:
+        inside[x] = 2
+    # twos: digit x is 2 for each member x, 0 elsewhere.
+    digits = bytearray(n * width)
+    digits[::width] = inside
+    twos = int.from_bytes(digits, "little")
+    neighbors = d._neighbors
+    for y in half:
+        above = rows[y] + ones
+        for z in neighbors[y]:
+            if not inside[z] and (above - rows[z]) & twos:
                 return False
     return True
 
@@ -201,7 +239,13 @@ def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls,
         for half in (wall.neg, wall.pos):
             verdict = verdicts.get(half)
             if verdict is None:
-                verdict = verdicts[half] = is_convex(d, half)
+                # On a complete matrix the packed test is exact, so only a
+                # half that leaks goes to is_convex, for its witness.
+                if len(d) == d.n and _leak_free(d, half):
+                    verdict = True
+                else:
+                    verdict = is_convex(d, half)
+                verdicts[half] = verdict
             if verdict is not True:
                 return WcCertificate(NONCONVEX_HALFSPACE, ew.edge, half=half,
                                      variant=wall.variant, witness=verdict)
@@ -258,10 +302,13 @@ def _scan(g: Graph):
     d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     passed: set[int] = set()
+    rows = None
     for u, v in _edges_in_order(g):
         ew = splits(g, (u, v))
+        if rows is None and len(d) == d.n:
+            rows = d._packed_rows()
         # The split's memo key (see splits).
-        key = abs(d.packed(u) - d.packed(v))
+        key = abs(rows[u] - rows[v] if rows is not None else d.packed(u) - d.packed(v))
         if key in passed:
             yield ew, None
             continue

@@ -1,3 +1,5 @@
+import pytest
+
 from johnson_embed import (
     Embedding,
     WcCertificate,
@@ -9,7 +11,8 @@ from johnson_embed import (
     petersen_graph,
     theta1_classes,
 )
-from johnson_embed.atom import scalar, vertical_edges
+from johnson_embed.atom import ThetaClasses, scalar, vertical_edges
+from johnson_embed.graphs import ConsistencyError
 
 
 def classes_of(g, b=0):
@@ -151,6 +154,21 @@ def test_atom_graph_paranoid_agrees(corpus_decisions):
         plain = sigma_of(g)
         hard = sigma_of(g, paranoid=True)
         assert plain.edges == hard.edges, name
+
+
+def test_atom_graph_refuses_hand_made_classes_it_cannot_join():
+    # Classes made by hand, not from a wall system.  In C6, (0, 1) has
+    # scalar 2 with (4, 3), -2 with (3, 4) and 0 with (1, 2).
+    d = cycle_graph(6).distances()
+    for f, value in [((4, 3), 2), ((3, 4), -2)]:
+        with pytest.raises(ConsistencyError,
+                           match=f"^classes 0 and 1 have representative scalar {value}$"):
+            atom_graph(d, ThetaClasses(0, (((0, 1),), (f,))))
+    # The representatives agree on 0, but (3, 4) in the second class does not.
+    classes = ThetaClasses(0, (((0, 1),), ((1, 2), (3, 4))))
+    assert atom_graph(d, classes).edges == ()
+    with pytest.raises(ConsistencyError, match=r"^scalar of \(0, 1\), \(3, 4\) disagrees"):
+        atom_graph(d, classes, paranoid=True)
 
 
 def test_atom_graph_gated_on_wc(corpus):

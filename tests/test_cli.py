@@ -121,8 +121,8 @@ def test_embed_huge_vertex_count_fails_before_allocating(tmp_path, capsys, monke
 
 
 def test_embed_internal_failure_is_an_error_not_a_no(c5, capsys, monkeypatch):
-    monkeypatch.setattr(embedder, "verify_embedding",
-                        lambda d, labels: IsometryWitness(0, 1, 4, 2))
+    monkeypatch.setattr(embedder, "_verify_masks",
+                        lambda d, masks: IsometryWitness(0, 1, 4, 2))
     assert main(["embed", c5, "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"] == "error"

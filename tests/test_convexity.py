@@ -27,7 +27,7 @@ from johnson_embed.graphs import (
 )
 from johnson_embed.walls import WallSystem, check_wc_all, splits, w_sets
 
-from helpers import random_tree_plus_edges
+from helpers import all_rows, random_tree_plus_edges
 
 
 def reference_is_convex(d, s):
@@ -90,6 +90,57 @@ def test_is_convex_on_edge_halves_matches_exhaustive_reference(case):
     d, halves = case
     for half in halves:
         assert is_convex(d, half) == reference_is_convex(d, half)
+
+
+class _Asked(dict):
+    """A verdict dict that records every half looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, half, default=None):
+        self.asked.append(half)
+        return super().get(half, default)
+
+
+@st.composite
+def complete_matrix_and_sets(draw):
+    """A connected graph with every row built, the halves the per-edge check
+    meets and random vertex subsets."""
+    n = draw(st.integers(1, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(combinations(range(n), 2))
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(n, sorted(set(tree) | extra))
+    d = g.distances()
+    all_rows(d)
+    asked = _Asked()
+    for edge in g.edges:
+        walls._walls_from_splits(d, splits(g, edge), asked)
+    subsets = draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=8))
+    return d, asked.asked + [tuple(sorted(s)) for s in subsets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_matrix_and_sets())
+def test_packed_half_test_agrees_with_is_convex(case):
+    d, sets = case
+    assert len(d) == d.n
+    for s in sets:
+        assert walls._leak_free(d, s) == (is_convex(d, s) is True), s
+
+
+def test_packed_half_test_with_two_byte_digits():
+    # C300's distances need two-byte digits.  An arc of fewer than 150
+    # vertices is convex, a longer one or two disjoint arcs are not.
+    d = cycle_graph(300).distances()
+    all_rows(d)
+    assert d.width == 2
+    for s in [range(10, 150), range(10, 170), [*range(0, 20), *range(100, 120)],
+              range(299), [7], []]:
+        half = tuple(s)
+        assert walls._leak_free(d, half) == (is_convex(d, half) is True), half
 
 
 def test_convex_arc_reads_only_its_boundary_rows():

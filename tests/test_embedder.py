@@ -368,6 +368,26 @@ def test_build_embedding_computes_each_distinct_split_once(monkeypatch):
                          "induced_components": distinct[name]}, name
 
 
+def test_build_embedding_calls_is_convex_on_no_complete_matrix(monkeypatch):
+    # Once every row exists the scan decides each half from the packed rows,
+    # and only a half that leaks goes to is_convex, for its witness.  An
+    # accepted graph has no such half.
+    graphs = {"J(3,6)": johnson_graph(3, 6), "Petersen": petersen_graph(),
+              "K4xC5": cartesian_product(complete_graph(4), cycle_graph(5))}
+    original = walls.is_convex
+    complete = []
+
+    def recorded(d, s):
+        complete.append(len(d) == d.n)
+        return original(d, s)
+
+    monkeypatch.setattr(walls, "is_convex", recorded)
+    for name, g in graphs.items():
+        complete.clear()
+        assert isinstance(build_embedding(g), Embedding)
+        assert not any(complete), name
+
+
 def test_bipartite_embedding_decides_every_split_by_its_class(monkeypatch):
     # Every split of a bipartite graph has no equidistant vertex, and on a
     # partial cube every crossing edge shares it, so the Θ class test decides
