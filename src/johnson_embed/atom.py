@@ -65,26 +65,20 @@ def theta1_classes(ws: WallSystem, d: DistanceMatrix, b: int) -> ThetaClasses:
     nearer b, is keyed by the packed difference P[t] - P[h], whose digits
     d(t, x) - d(h, x) place every vertex on its side (walls.splits): equal
     keys mean the same split in the same orientation, so the classes are
-    those of equal split pairs.  Defensively verifies that edges sharing a
-    split pair have scalar 2 against their class representative.
+    those of equal split pairs.  Edges (u, v) and (x, y) of one class have
+    equal digits, so their scalar, (d(u, y) - d(v, y)) - (d(u, x) - d(v, x)),
+    is (d(x, y) - d(y, y)) - (d(x, x) - d(y, x)) = 2.
     """
     db = d[b]
-    rows = d._packed_rows()
+    packed = d.packed
     groups: dict[int, list[tuple[int, int]]] = {}
     for ew in ws.edge_walls:
         u, v = ew.edge
         if db[u] < db[v]:
-            groups.setdefault(rows[u] - rows[v], []).append((u, v))
+            groups.setdefault(packed(u) - packed(v), []).append((u, v))
         elif db[v] < db[u]:
-            groups.setdefault(rows[v] - rows[u], []).append((v, u))
+            groups.setdefault(packed(v) - packed(u), []).append((v, u))
     classes = sorted(tuple(sorted(members)) for members in groups.values())
-    for members in classes:
-        rep = members[0]
-        for edge in members[1:]:
-            if scalar(d, rep, edge) != 2:
-                raise ConsistencyError(
-                    f"edges {rep} and {edge} share a split pair but have scalar "
-                    f"{scalar(d, rep, edge)}")
     return ThetaClasses(b, tuple(classes))
 
 

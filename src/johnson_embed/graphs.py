@@ -17,13 +17,9 @@ the graph's metric core: it also packs a row read by the split code into
 one int, whose digits are the row's distances, on first use, and keeps each
 distinct edge split once, keyed by the difference of its ends' packed rows
 (see walls.splits), so the splits live and die with the rows they were read
-from.  Once every row exists the matrix is complete, and it lists all n
-packed rows once (DistanceMatrix._packed_rows) for the loops that index
-them: the wall scan's exact half test and Θ class test (see walls), and the
-Θ classes (atom).  The scan asks for that list only once every row
-exists, so it changes no decision's row reads.  is_convex decides a set from the rows of
-its boundary members (those with an outside neighbour) and finds a witness
-from the row of one BFS source.
+from.  is_convex decides a set from the rows of its boundary members (those
+with an outside neighbour) and finds a witness from the row of one BFS
+source.
 
 Two BFS loops live here.  _bfs_row computes a distance row level by level
 and serves only the matrix, whose row 0 is the connectivity check.  _bfs is
@@ -204,17 +200,10 @@ class DistanceMatrix(dict):
     a whole-row comparison is one subtraction, and d.compare(u, v) reads
     the digits back as bytes.  The matrix also keeps each distinct edge
     split once, keyed by abs(P[u] - P[v]), for walls.splits.
-
-    Once every row exists (len(d) == d.n) the matrix is complete, and
-    d._packed_rows() is the list of all n packed rows, P[u] at index u.  It
-    is built once, on first call, from the ints packed() keeps, so it holds
-    only references, and the hot loops index it instead of calling packed().
-    Called before the matrix is complete, it reads every row not read yet;
-    the wall scan therefore calls it only on a complete matrix.
     """
 
     __slots__ = ("n", "width", "_ones", "_neighbors", "_pack_row", "_packed",
-                 "_rows", "_splits")
+                 "_splits")
 
     def __init__(self, g: Graph):
         super().__init__()
@@ -234,7 +223,6 @@ class DistanceMatrix(dict):
         self._neighbors = g.neighbors
         self._pack_row = Struct(f"<{g.n}{_ROW_FORMATS[width]}").pack
         self._packed: dict[int, int] = {}
-        self._rows: list[int] | None = None
         # walls.splits: abs(P[u] - P[v]) -> (w_th, w_ht, eq components), where
         # t, h are u, v ordered so that P[t] > P[h].
         self._splits: dict = {}
@@ -251,13 +239,6 @@ class DistanceMatrix(dict):
         if p is None:
             p = self._packed[u] = int.from_bytes(self._pack_row(*self[u]), "little")
         return p
-
-    def _packed_rows(self) -> list[int]:
-        """Every packed row, P[u] at index u; built on first call and kept."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = list(map(self.packed, range(self.n)))
-        return rows
 
     def compare(self, u: int, v: int) -> bytes:
         """For an edge uv, byte x is d(u, x) - d(v, x) + 1.

@@ -38,24 +38,24 @@ goes through is_convex.  When one differs (outside bipartite graphs that can
 happen even when both sides are convex), the sides go through is_convex as
 before, so every certificate is the one is_convex gives.
 
-Once every row of the matrix exists (len(d) == d.n), the scan decides a
-half H with no verdict yet from its cut edges (y, z), y in H and z outside,
-and the list of all packed rows (DistanceMatrix._packed_rows).  Digit x of
-P[y] + ones - P[z] is d(y, x) - d(z, x) + 1, and it is 2 exactly when x is
-nearer z, which is is_convex's criterion for member x leaking through
-(y, z); no digit exceeds 2 or borrows (DistanceMatrix.compare), so this
-holds at every digit width.  With twos the int whose digit is 2 at each
-member of H, H is convex iff (P[y] + ones - P[z]) & twos is 0 for every cut
-edge: the test is exact both ways.  A half that passes is convex; only a
-half that fails goes to is_convex, for its lexicographic witness.  The path
-reads no row, as every row exists, so which rows a decision reads does not
-change.  The Θ class test and the split keys read the same list.
+Once the matrix holds every row, the scan decides a half H with no
+verdict yet from its cut edges (y, z), y in H and z outside, and their
+packed rows.  Digit x of P[y] + ones - P[z] is d(y, x) - d(z, x) + 1, and
+it is 2 exactly when x is nearer z, which is is_convex's criterion for
+member x leaking through (y, z); no digit exceeds 2 or borrows
+(DistanceMatrix.compare), so this holds at every digit width.  With twos
+the int whose digit is 2 at each member of H, H is convex iff
+(P[y] + ones - P[z]) & twos is 0 for every cut edge: the test is exact both
+ways.  A half that passes is convex; only a half that fails goes to
+is_convex, for its lexicographic witness.  The path reads no row, as every
+row exists, so which rows a decision reads does not change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .graphs import (
     ConsistencyError,
@@ -94,8 +94,7 @@ def w_sets(d: DistanceMatrix, u: int, v: int):
             tuple([*compress(vertices, compared.translate(_EQUIDISTANT))]))
 
 
-@dataclass(frozen=True)
-class EdgeWalls:
+class EdgeWalls(NamedTuple):
     """Raw split data for one edge: strict sides and equidistant components."""
 
     edge: tuple[int, int]
@@ -150,9 +149,7 @@ def _class_passes(d: DistanceMatrix, ew: EdgeWalls) -> bool:
     (u, v), small, large = ew.edge, ew.w_uv, ew.w_vu
     if len(large) < len(small):
         u, v, small = v, u, large
-    # A complete matrix's row list reads no row and is cheaper to index
-    # than packed() is to call.
-    packed = d._packed_rows().__getitem__ if len(d) == d.n else d.packed
+    packed = d.packed
     diff = packed(u) - packed(v)
     inside = set(small)
     for y in small:
@@ -168,7 +165,7 @@ def _leak_free(d: DistanceMatrix, half: tuple[int, ...]) -> bool:
     One subtraction and one mask test per cut edge, exact both ways (see
     the module docstring); reads no row.
     """
-    n, width, rows, ones = d.n, d.width, d._packed_rows(), d._ones
+    n, width, packed, ones = d.n, d.width, d.packed, d._ones
     inside = bytearray(n)
     for x in half:
         inside[x] = 2
@@ -178,9 +175,9 @@ def _leak_free(d: DistanceMatrix, half: tuple[int, ...]) -> bool:
     twos = int.from_bytes(digits, "little")
     neighbors = d._neighbors
     for y in half:
-        above = rows[y] + ones
+        above = packed(y) + ones
         for z in neighbors[y]:
-            if not inside[z] and (above - rows[z]) & twos:
+            if not inside[z] and (above - packed(z)) & twos:
                 return False
     return True
 
@@ -239,8 +236,10 @@ def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls,
         for half in (wall.neg, wall.pos):
             verdict = verdicts.get(half)
             if verdict is None:
-                # On a complete matrix the packed test is exact, so only a
-                # half that leaks goes to is_convex, for its witness.
+                # The packed test is exact, so only a half that leaks goes
+                # to is_convex, for its witness.  It runs only once every
+                # row exists: before that it would compute the rows of
+                # outside vertices, which is_convex never reads.
                 if len(d) == d.n and _leak_free(d, half):
                     verdict = True
                 else:
@@ -302,13 +301,11 @@ def _scan(g: Graph):
     d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     passed: set[int] = set()
-    rows = None
+    packed = d.packed
     for u, v in _edges_in_order(g):
         ew = splits(g, (u, v))
-        if rows is None and len(d) == d.n:
-            rows = d._packed_rows()
         # The split's memo key (see splits).
-        key = abs(rows[u] - rows[v] if rows is not None else d.packed(u) - d.packed(v))
+        key = abs(packed(u) - packed(v))
         if key in passed:
             yield ew, None
             continue

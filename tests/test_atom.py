@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from johnson_embed import (
     Embedding,
@@ -9,10 +10,15 @@ from johnson_embed import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     theta1_classes,
 )
 from johnson_embed.atom import ThetaClasses, scalar, vertical_edges
 from johnson_embed.graphs import ConsistencyError
+
+from conftest import named_corpus
+
+SMALL_FAMILIES = [g for _, g in named_corpus() if g.n <= 10]
 
 
 def classes_of(g, b=0):
@@ -107,6 +113,33 @@ def test_same_class_iff_scalar_two(corpus_decisions):
                 s = scalar(d, e, f)
                 assert s >= 0, (name, e, f)
                 assert (s == 2) == (index[e] == index[f]), (name, e, f)
+
+
+@st.composite
+def wc_graph_and_basepoint(draw):
+    """A connected graph of at most 10 vertices that passes the wallspace
+    condition, its WallSystem and a basepoint."""
+    if draw(st.booleans()):
+        n, p = draw(st.integers(1, 10)), draw(st.sampled_from([0.2, 0.3, 0.5, 0.7]))
+        g = random_connected_graph(n, p, seed=draw(st.integers(0, 2**32 - 1)))
+    else:
+        g = draw(st.sampled_from(SMALL_FAMILIES))
+    ws = check_wc(g)
+    assume(not isinstance(ws, WcCertificate))
+    return g, ws, draw(st.integers(0, g.n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wc_graph_and_basepoint())
+def test_theta_class_is_the_scalar_two_set_of_its_representative(case):
+    # theta1_classes groups by packed keys and computes no scalar, so this
+    # is the check that its classes are the scalar-2 classes.
+    g, ws, b = case
+    d = g.distances()
+    vertical = vertical_edges(g, b)
+    for members in theta1_classes(ws, d, b).classes:
+        rep = members[0]
+        assert members == tuple(e for e in vertical if scalar(d, rep, e) == 2)
 
 
 def test_atom_graph_cycle5_is_path():

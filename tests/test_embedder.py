@@ -388,6 +388,36 @@ def test_build_embedding_calls_is_convex_on_no_complete_matrix(monkeypatch):
         assert not any(complete), name
 
 
+@pytest.mark.parametrize("make, m, ground_set, bipartite", [
+    (lambda: cycle_graph(300), 150, 300, True),
+    (lambda: cycle_graph(301), 150, 301, False),
+    (lambda: path_graph(257), 256, 512, True),
+], ids=["C300", "C301", "P257"])
+def test_build_embedding_at_two_byte_digits(monkeypatch, make, m, ground_set, bipartite):
+    # Past 256 vertices each packed digit takes two bytes, so the split keys,
+    # the Θ class test, the packed half test and the Θ classes all read
+    # two-byte digits.  The Θ class test decides every split of a bipartite
+    # graph; only the odd cycle's halves reach the packed half test.
+    g = make()
+    assert g.distances().width == 2
+    calls = _count_calls(monkeypatch, (walls._leak_free,))
+    emb = build_embedding(g)
+    assert isinstance(emb, Embedding)
+    assert (emb.m, emb.ground_set_size) == (m, ground_set)
+    assert_isometric(g, emb)
+    assert (calls["_leak_free"] > 0) != bipartite
+
+
+def test_embed_hypercube_at_two_byte_digits():
+    g = hypercube_graph(9)
+    assert g.distances().width == 2
+    result = embed_hypercube(g)
+    assert isinstance(result, HypercubeEmbedding)
+    assert result.dimension == 9
+    assert len(set(map(frozenset, result.labels))) == g.n
+    assert all(len(result.labels[u] ^ result.labels[v]) == 1 for u, v in g.edges)
+
+
 def test_bipartite_embedding_decides_every_split_by_its_class(monkeypatch):
     # Every split of a bipartite graph has no equidistant vertex, and on a
     # partial cube every crossing edge shares it, so the Θ class test decides
