@@ -70,14 +70,14 @@ def theta1_classes(ws: WallSystem, d: DistanceMatrix, b: int) -> ThetaClasses:
     is (d(x, y) - d(y, y)) - (d(x, x) - d(y, x)) = 2.
     """
     db = d[b]
-    packed = d.packed
+    packed = [*map(d.packed, range(d.n))]
     groups: dict[int, list[tuple[int, int]]] = {}
     for ew in ws.edge_walls:
         u, v = ew.edge
         if db[u] < db[v]:
-            groups.setdefault(packed(u) - packed(v), []).append((u, v))
+            groups.setdefault(packed[u] - packed[v], []).append((u, v))
         elif db[v] < db[u]:
-            groups.setdefault(packed(v) - packed(u), []).append((v, u))
+            groups.setdefault(packed[v] - packed[u], []).append((v, u))
     classes = sorted(tuple(sorted(members)) for members in groups.values())
     return ThetaClasses(b, tuple(classes))
 

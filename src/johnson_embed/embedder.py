@@ -9,6 +9,20 @@ distance matrix before being returned; a verification failure is reported
 as an INTERNAL certificate and indicates a bug, never a property of the
 input.
 
+The verifier checks intersection rows, one big-int step per vertex.  For
+labels of m elements each, |L_x ^ L_y| = 2 d(x, y) is m - |L_x & L_y| =
+d(x, y).  With M_e the int whose digit y, in the matrix's packed layout
+(DistanceMatrix.packed), is 1 when e is in L_y, the int S_v = sum of M_e
+over e in L_v has digit y equal to |L_v & L_y|.  Walking a BFS tree from
+vertex 0, a tree edge uv whose labels differ in two elements, i in L_u and
+j in L_v, gives S_v = S_u - M_i + M_j, and v passes when
+m * ones - S_v is its packed row P[v].  While m < 256**width no digit
+carries, so the int comparison is exact, and every vertex but 0 passing
+is every pair passing; S_0 is counted directly.  The pairwise path
+(_first_mismatch, one popcount per pair) runs only when the rows do not
+match, to name the lexicographically first failing pair, or when m is
+too large for a digit.
+
 The hypercube embedding reads the same wall system: a bipartite graph has no
 equidistant vertices, so it passes the wallspace check exactly when every
 edge split has convex sides, and then every wall has multiplicity 2.  The
@@ -26,6 +40,7 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     OddCycleWitness,
+    _bfs,
     is_bipartite,
     # Unused here, but perfbench's tracer test checks that patching is_convex
     # reaches this module's binding too, so the name stays bound.
@@ -117,7 +132,9 @@ def bfs_tree(g: Graph, b: int) -> tuple[int | None, ...]:
         if v == b:
             parents.append(None)
             continue
-        parents.append(min(w for w in g.neighbors[v] if db[w] == db[v] - 1))
+        # Neighbor lists are sorted, so the first one a level up is the smallest.
+        up = db[v] - 1
+        parents.append(next(w for w in g.neighbors[v] if db[w] == up))
     return tuple(parents)
 
 
@@ -153,7 +170,8 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     masks = [0] * g.n
     masks[b] = (1 << m) - 1
     internal: InternalWitness | None = None
-    for v in sorted(range(g.n), key=lambda v: (d[b][v], v)):
+    db = d[b]
+    for v in sorted(range(g.n), key=lambda v: (db[v], v)):
         if v == b:
             continue
         u = parent[v]
@@ -207,7 +225,10 @@ def verify_embedding(d: DistanceMatrix, labels) -> "bool | IsometryWitness":
 
     labels may use any hashable universe but must all have the same size;
     unequal sizes raise ValueError.  Returns True or the first witness in
-    lexicographic pair order.
+    lexicographic pair order.  The intersection rows decide, one big-int
+    step per vertex (see the module docstring); the pairwise check runs
+    only to name a failing pair, or when a label holds 256**width elements
+    or more.
     """
     masks = _bitmasks(labels)
     if len(masks) != d.n:
@@ -220,14 +241,76 @@ def verify_embedding(d: DistanceMatrix, labels) -> "bool | IsometryWitness":
 def _verify_masks(d: DistanceMatrix, masks: list[int]) -> "bool | IsometryWitness":
     """verify_embedding on labels given as int bitmasks of one size.
 
-    A bijection of the elements keeps every symmetric difference, so any
+    The intersection rows decide (_rows_match).  Only when they do not
+    match, or m >= 256**width, does the pairwise path run, so a failure
+    gets the lexicographically first witness whichever path found it.  A
+    bijection of the elements keeps every symmetric difference, so any
     numbering gives the same answer and witness.
     """
-    mismatch = _first_mismatch(d, masks, 2)
+    if _rows_match(d, masks):
+        return True
+    mismatch = _first_mismatch(d, masks)
     if mismatch is None:
         return True
     x, y, diff = mismatch
     return IsometryWitness(x, y, diff, 2 * d[x][y])
+
+
+# Bytes of bin() output: '0' and '1' to digits 0 and 1, the 'b' of '0b' to 0.
+_BIN_DIGITS = bytes.maketrans(b"01b", b"\0\1\0")
+
+
+def _rows_match(d: DistanceMatrix, masks: list[int]) -> bool:
+    """True iff m - |L_x & L_y| == d(x, y) for every pair, checked per vertex.
+
+    masks hold m elements each.  False means a vertex failed, or m does not
+    fit in a digit, and decides nothing: the caller runs the pairwise path.
+    """
+    if not masks:
+        return False
+    n, width = d.n, d.width
+    m = masks[0].bit_count()
+    if m >= 256 ** width:
+        return False
+    ground = max(masks).bit_length()
+    stride = ground + 3
+    # Row y is bin(masks[y] | 1 << ground): '0b1', then bit e of masks[y] at
+    # offset stride - 1 - e, so a strided slice reads one element's column.
+    bits = "".join(map(bin, map((1 << ground).__or__, masks))).encode()
+    bits = bits.translate(_BIN_DIGITS)
+    columns = range(stride - 1, 2, -1)
+    if width == 1:
+        element = [int.from_bytes(bits[i::stride], "little") for i in columns]
+    else:
+        digits = bytearray(n * width)
+        element = []
+        for i in columns:
+            digits[::width] = bits[i::stride]
+            element.append(int.from_bytes(digits, "little"))
+    top = m * d._ones
+    rows = [*map(d.packed, range(n))]
+    parent = [-1] * n
+    order = _bfs(d._neighbors, 0, parent)
+    # S_0 directly: digit y is |L_0 & L_y| <= m, which fits a digit.  Row 0
+    # needs no check of its own: row y's check covers the pair (0, y).
+    S = [0] * n
+    S[0] = int.from_bytes(
+        d._pack_row(*map(int.bit_count, map(masks[0].__and__, masks))), "little")
+    # S[u] is held until u's last BFS child is done: about two levels.
+    last = 0
+    for v in order[1:]:
+        u = parent[v]
+        if u != last:
+            S[last] = 0
+            last = u
+        mu, mv = masks[u], masks[v]
+        if (mu ^ mv).bit_count() != 2:
+            return False
+        s = S[u] - element[(mu & ~mv).bit_length() - 1] + element[(mv & ~mu).bit_length() - 1]
+        if top - s != rows[v]:
+            return False
+        S[v] = s
+    return True
 
 
 def _bitmasks(labels) -> list[int]:
@@ -242,13 +325,13 @@ def _bitmasks(labels) -> list[int]:
     return masks
 
 
-def _first_mismatch(d: DistanceMatrix, masks: list[int], scale: int
+def _first_mismatch(d: DistanceMatrix, masks: list[int]
                     ) -> "tuple[int, int, int] | None":
     """First pair x < y, in lexicographic order, whose masks differ in other
-    than scale * d(x, y) bits, as (x, y, bits differing); None if none does."""
+    than 2 d(x, y) bits, as (x, y, bits differing); None if none does."""
     for x, bx in enumerate(masks):
         diffs = list(map(int.bit_count, map(bx.__xor__, masks[x + 1:])))
-        expected = [scale * dxy for dxy in d[x][x + 1:]]
+        expected = [2 * dxy for dxy in d[x][x + 1:]]
         if diffs != expected:
             for i, (diff, want) in enumerate(zip(diffs, expected)):
                 if diff != want:
@@ -294,13 +377,19 @@ def embed_hypercube(g: Graph) -> "HypercubeEmbedding | HypercubeCertificate":
             NONCONVEX_HALFSPACE, edge=ws.edge, half=ws.half, witness=ws.witness)
     if any(w.multiplicity != 2 for w in ws.walls):
         raise ConsistencyError("bipartite graph has a wall of multiplicity 1")
-    far_sides = [frozenset(w.halves[1]) for w in ws.walls]
+    dimension = len(ws.walls)
+    far = [0] * g.n
+    for i, w in enumerate(ws.walls):
+        for v in w.halves[1]:
+            far[v] |= 1 << i
+    # Each coordinate doubled to dimension elements: i when coordinate i is
+    # set, dimension + i when it is clear.  Symmetric differences double,
+    # so the labels are isometric iff these pass as Johnson labels.
+    full = (1 << dimension) - 1
+    verdict = _verify_masks(g.distances(), [x | (full ^ x) << dimension for x in far])
+    if verdict is not True:
+        raise ConsistencyError(
+            f"hypercube labeling failed verification at ({verdict.x}, {verdict.y})")
     labels = tuple(
-        frozenset(i for i, far in enumerate(far_sides) if v in far)
-        for v in range(g.n)
-    )
-    mismatch = _first_mismatch(g.distances(), _bitmasks(labels), 1)
-    if mismatch is not None:
-        x, y, _ = mismatch
-        raise ConsistencyError(f"hypercube labeling failed verification at ({x}, {y})")
-    return HypercubeEmbedding(len(far_sides), labels)
+        frozenset(i for i in range(dimension) if x >> i & 1) for x in far)
+    return HypercubeEmbedding(dimension, labels)

@@ -91,8 +91,17 @@ _FAMILIES: dict[str, tuple[int, object]] = {
 }
 
 
+# The most vertices, edges or (johnson) compared vertex pairs and subset
+# elements gen_family builds: Q12, J(5,11), C1024 and P2000 fit well under it.
+MAX_GEN_SIZE = 10**6
+
+
 def gen_family(name: str, params) -> Graph:
-    """Build a named family member; unknown names or bad arity raise ValueError."""
+    """Build a named family member; unknown names or bad arity raise ValueError.
+
+    So does a member with more than MAX_GEN_SIZE of any count in
+    _member_sizes, refused from its parameters before any list is built.
+    """
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {name!r} (known: {known})")
@@ -100,7 +109,53 @@ def gen_family(name: str, params) -> Graph:
     params = tuple(params)
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    for what, count in _member_sizes(name, params):
+        if count > MAX_GEN_SIZE:
+            raise ValueError(
+                f"family {name!r} with parameters {params} would have more than "
+                f"{MAX_GEN_SIZE} {what}")
     return builder(*params)
+
+
+def _member_sizes(name: str, params: tuple) -> list[tuple[str, int]]:
+    """What the builder would make, counted from the parameters.
+
+    A count above MAX_GEN_SIZE may be any value above it, so that a huge
+    parameter costs no huge int.  Parameters the builder refuses give counts
+    that pass, and the builder raises its own error.
+    """
+    cap = MAX_GEN_SIZE + 1
+    if name == "hypercube":
+        vertices = 1 << min(max(params[0], 0), cap.bit_length())
+        return [("vertices", vertices), ("edges", params[0] * vertices // 2)]
+    if name == "johnson":
+        m, n = params
+        vertices = _comb_over(n, m, cap)
+        return [("vertices", vertices),
+                ("compared vertex pairs", vertices * (vertices - 1) // 2),
+                ("subset elements", vertices * m)]
+    if name in ("cycle", "path"):
+        return [("vertices", params[0])]
+    if name == "complete":
+        return [("vertices", params[0]), ("edges", params[0] * (params[0] - 1) // 2)]
+    if name == "complete_bipartite":
+        a, b = params
+        return [("vertices", a + b), ("edges", a * b)]
+    return []
+
+
+def _comb_over(n: int, k: int, cap: int) -> int:
+    """C(n, k), or some value of at least cap once the count reaches it."""
+    if not 0 <= k <= n:
+        return 0
+    count = 1
+    # C(n, i) grows with i up to n / 2, so a partial product past cap is
+    # a lower bound that already exceeds it.
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count >= cap:
+            break
+    return count
 
 
 # Draws random_connected_graph makes before it gives up.

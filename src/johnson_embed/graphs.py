@@ -222,6 +222,8 @@ class DistanceMatrix(dict):
         self._ones = int.from_bytes(b"\1".ljust(width, b"\0") * g.n, "little")
         self._neighbors = g.neighbors
         self._pack_row = Struct(f"<{g.n}{_ROW_FORMATS[width]}").pack
+        # The rows packed so far.  walls.splits and its scan read this dict
+        # directly, and pack through packed() only a row not in it yet.
         self._packed: dict[int, int] = {}
         # walls.splits: abs(P[u] - P[v]) -> (w_th, w_ht, eq components), where
         # t, h are u, v ordered so that P[t] > P[h].
@@ -374,17 +376,17 @@ def is_convex(d: DistanceMatrix, s) -> "bool | ConvexityWitness":
     inside = [False] * d.n
     for x in members:
         inside[x] = True
-    boundary: list[int] = []
     cut_y: list[int] = []
     cut_z: list[int] = []
     for y in members:
-        out = [z for z in neighbors[y] if not inside[z]]
-        if out:
-            boundary.append(y)
-            cut_y += [y] * len(out)
-            cut_z += out
-    if not boundary:
+        for z in neighbors[y]:
+            if not inside[z]:
+                cut_y.append(y)
+                cut_z.append(z)
+    if not cut_y:
         return True
+    # The members with an outside neighbour, ascending: cut_y is sorted.
+    boundary = dict.fromkeys(cut_y)
     # itemgetter of one index returns a bare value; repeating the first cut
     # edge keeps both results tuples.
     at_y = itemgetter(cut_y[0], *cut_y)
@@ -418,6 +420,8 @@ def induced_components(g: Graph, s) -> tuple[tuple[int, ...], ...]:
 
     Components are ordered by their smallest vertex, each sorted ascending.
     """
+    if not s:
+        return ()
     members = sorted(set(s))
     # Vertices outside s count as already reached, so no search enters them.
     parent = [0] * g.n

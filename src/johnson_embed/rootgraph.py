@@ -16,9 +16,9 @@ bipartite root.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graphs import ConsistencyError, Graph, OddCycleWitness, _bfs, is_bipartite
 
@@ -76,33 +76,44 @@ class KrauszPartition:
 def krausz_partition(g: Graph) -> KrauszPartition | RootCertificate:
     """Partition edges into maximal cliques; filter certificates pass through.
 
-    Runs the claw/diamond filter first.  In the filtered graph, the maximal
-    clique on an edge is the edge plus the common neighborhood of its ends.
+    A graph is claw-free and diamond-free exactly when every vertex's
+    neighborhood splits into at most two disjoint cliques with no edge
+    between them: an induced path on three neighbors would make a diamond
+    with the vertex, and three pairwise non-adjacent ones a claw.  Then the
+    maximal cliques are the sets {v} | part, read from the neighborhoods
+    directly.  Otherwise the claw/diamond filter runs, and its certificate,
+    the first claw or else the first diamond, is returned.
     """
-    cert = find_claw_or_diamond(g)
-    if cert is not None:
+    cliques = _neighborhood_cliques(g)
+    if cliques is None:
+        cert = find_claw_or_diamond(g)
+        if cert is None:
+            raise ConsistencyError(
+                "a neighborhood splits into no two cliques, yet no claw or diamond was found")
         return cert
-    cliques: list[tuple[int, ...]] = []
-    covered: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        # An edge of a clique already found lies in no other: an extra common
-        # neighbour of its ends would form a diamond with a clique member or
-        # make that clique non-maximal.
-        if (u, v) in covered:
-            continue
-        clique = sorted({u, v} | {w for w in g.neighbors[u] if g.has_edge(w, v)})
-        for pair in combinations(clique, 2):
-            if not g.has_edge(*pair):
-                raise ConsistencyError(
-                    f"common neighborhood of edge ({u}, {v}) is not a clique")
-            covered.add(pair)
-        cliques.append(tuple(clique))
     ordered = tuple(sorted(cliques))
     membership: list[list[int]] = [[] for _ in range(g.n)]
     for idx, clique in enumerate(ordered):
         for v in clique:
             membership[v].append(idx)
     return KrauszPartition(ordered, tuple(tuple(m) for m in membership))
+
+
+def _neighborhood_cliques(g: Graph) -> "list[tuple[int, ...]] | None":
+    """The cliques {v} | part when every neighborhood splits into at most two
+    cliques with no edge between them, else None.
+
+    Edge uv's part at u is v and their common neighbors, so {u} | part is
+    K(uv) = {u, v} | (N(u) & N(v)).  The neighborhoods split as required
+    exactly when no vertex lies in three distinct sets K(uv): a claw at v
+    with leaves a, b, c gives three, K(va), K(vb) and K(vc), and so does a
+    diamond (u, v, w, x) at u, with K(uw), K(ux) and K(uv).
+    """
+    near = [frozenset(nb) for nb in g.neighbors]
+    cliques = {near[u] & near[v] | {u, v} for u, v in g.edges}
+    if max(Counter(chain.from_iterable(cliques)).values(), default=0) > 2:
+        return None
+    return [tuple(sorted(clique)) for clique in cliques]
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,11 @@ def splits(g: Graph, edge: tuple[int, int]) -> EdgeWalls:
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
     d = g.distances()
-    diff = d.packed(u) - d.packed(v)
+    packed = d._packed
+    try:
+        diff = packed[u] - packed[v]
+    except KeyError:
+        diff = d.packed(u) - d.packed(v)
     key = abs(diff)
     known = d._splits.get(key)
     if known is None:
@@ -182,8 +186,7 @@ def _leak_free(d: DistanceMatrix, half: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """One complementary halfspace pair produced by an edge.
 
     neg contains the tail of the source edge, pos the head.  The PRIME
@@ -252,7 +255,7 @@ def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls,
 
 
 def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
+    return tuple(sorted(a + b)) if b else a
 
 
 @dataclass(frozen=True)
@@ -301,11 +304,11 @@ def _scan(g: Graph):
     d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     passed: set[int] = set()
-    packed = d.packed
+    packed = d._packed
     for u, v in _edges_in_order(g):
         ew = splits(g, (u, v))
-        # The split's memo key (see splits).
-        key = abs(packed(u) - packed(v))
+        # The split's memo key (see splits), which packed both ends.
+        key = abs(packed[u] - packed[v])
         if key in passed:
             yield ew, None
             continue
@@ -337,7 +340,10 @@ def check_wc(g: Graph) -> "WallSystem | WcCertificate":
         k1, k2 = map(_canonical_halves, result)
         contributions = {k1: 2} if k1 == k2 else {k1: 1, k2: 1}
         for halves, mult in contributions.items():
-            if system.setdefault(halves, SystemWall(halves, mult)).multiplicity != mult:
+            known = system.get(halves)
+            if known is None:
+                system[halves] = SystemWall(halves, mult)
+            elif known.multiplicity != mult:
                 raise ConsistencyError(
                     f"wall {halves} arises with inconsistent multiplicity")
     return WallSystem(tuple(edge_walls), tuple(system.values()))

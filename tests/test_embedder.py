@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -15,6 +16,7 @@ from johnson_embed import (
     complete_graph,
     cycle_graph,
     embed_hypercube,
+    embedder,
     hypercube_graph,
     johnson_graph,
     path_graph,
@@ -448,3 +450,89 @@ def test_graph_functions_read_the_graphs_own_matrix(monkeypatch):
                is_basis_graph, embed_hypercube):
         fn(g)
         assert calls == {}, fn.__name__
+
+
+def _tampered(labels, kind, i, j):
+    """labels with label i replaced by a fresh label of its size, or copied from j."""
+    out = list(labels)
+    if kind == "replace":
+        out[i] = frozenset(range(10**6, 10**6 + len(labels[i])))
+    elif kind == "copy":
+        out[i] = out[j]
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: cycle_graph(300), lambda: path_graph(257)],
+                         ids=["C300", "P257"])
+@pytest.mark.parametrize("kind, i, j", [("given", 0, 0), ("replace", 7, 0),
+                                        ("replace", 256, 0), ("copy", 3, 200),
+                                        ("copy", 255, 254)])
+def test_verify_embedding_at_two_byte_digits_matches_reference(make, kind, i, j):
+    # Past 256 vertices each intersection-row digit takes two bytes, and
+    # C300's m = 150 and P257's m = 256 fit only there.
+    g = make()
+    d = g.distances()
+    assert d.width == 2
+    labels = _tampered(build_embedding(g).labels, kind, i, j)
+    verdict = verify_embedding(d, labels)
+    assert verdict == reference_verify(d, labels)
+    assert (verdict is True) == (kind == "given")
+    assert embedder._rows_match(d, embedder._bitmasks(labels)) == (kind == "given")
+
+
+@pytest.mark.parametrize("kind", ["given", "replace", "copy"])
+def test_labels_too_large_for_a_digit_take_the_pairwise_path(kind):
+    # 300 elements per label exceed a one-byte digit on 10 vertices, so the
+    # intersection rows decide nothing and the pairwise check answers.
+    g = cycle_graph(10)
+    d = g.distances()
+    assert d.width == 1
+    shared = frozenset(range(100, 395))
+    labels = [lab | shared for lab in build_embedding(g).labels]
+    assert {len(lab) for lab in labels} == {300}
+    assert embedder._rows_match(d, embedder._bitmasks(labels)) is False
+    labels = _tampered(labels, kind, 4, 6)
+    verdict = verify_embedding(d, labels)
+    assert verdict == reference_verify(d, labels)
+    assert (verdict is True) == (kind == "given")
+
+
+def test_wrong_labelling_inside_the_pipeline_gets_the_pairwise_witness(monkeypatch):
+    # Redirect one class's root edge to another class's a-end: every tree
+    # edge still swaps one element, but two leaves of the star end up too
+    # close, which the verifier reports as an INTERNAL witness.
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    original_root = embedder.bipartite_root
+
+    def misdirected(sigma):
+        root = original_root(sigma)
+        pairs = list(root.vertex_to_edge)
+        pairs[2] = (pairs[2][0], pairs[0][1])
+        return dataclasses.replace(root, vertex_to_edge=tuple(pairs))
+
+    checked = []
+    original_verify = embedder._verify_masks
+
+    def recorded(d, masks):
+        checked.append(list(masks))
+        return original_verify(d, masks)
+
+    monkeypatch.setattr(embedder, "bipartite_root", misdirected)
+    monkeypatch.setattr(embedder, "_verify_masks", recorded)
+    run = run_pipeline(g)
+    assert run.result.stage == "INTERNAL"
+    assert run.internal.reason == "constructed labeling failed isometry verification"
+    [masks] = checked
+    d = g.distances()
+    assert embedder._rows_match(d, masks) is False
+    x, y, diff = embedder._first_mismatch(d, masks)
+    assert run.internal.data == (x, y, diff, 2 * d[x][y])
+
+
+@pytest.mark.parametrize("labels", [[(), ()], [(0,), (0,)], [(0, 1), (1, 0)]],
+                         ids=["empty", "equal", "equal-reordered"])
+def test_equal_labels_on_an_edge_are_a_witness(labels):
+    # Labels of an edge's ends must differ in two elements; equal ones, even
+    # empty, fail at that tree edge.
+    d = path_graph(2).distances()
+    assert verify_embedding(d, labels) == IsometryWitness(0, 1, 0, 2)

@@ -4,6 +4,7 @@ from johnson_embed import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    families,
     gen_family,
     hypercube_graph,
     johnson_graph,
@@ -129,3 +130,29 @@ def test_random_connected_graph_exhausts_budget():
     # Probability too small to ever connect five vertices.
     with pytest.raises(ValueError, match="no connected graph"):
         random_connected_graph(5, 1e-12, seed=0)
+
+
+@pytest.mark.parametrize("name, params, what", [
+    ("hypercube", (40,), "vertices"),
+    ("hypercube", (10**15,), "vertices"),
+    ("hypercube", (17,), "edges"),
+    ("complete", (100000,), "edges"),
+    ("complete_bipartite", (2000, 600), "edges"),
+    ("cycle", (10**6 + 1,), "vertices"),
+    ("johnson", (6, 13), "compared vertex pairs"),
+    ("johnson", (500, 1000), "vertices"),
+    ("johnson", (10**9, 10**9), "subset elements"),
+])
+def test_gen_family_refuses_a_member_too_large_to_build(monkeypatch, name, params, what):
+    # Refused from the parameters alone: the builder is never called.
+    arity, _ = families._FAMILIES[name]
+    monkeypatch.setitem(families._FAMILIES, name, (arity, None))
+    with pytest.raises(ValueError, match=f"{name}.*more than {families.MAX_GEN_SIZE} {what}"):
+        gen_family(name, params)
+
+
+@pytest.mark.parametrize("name, params, n", [
+    ("hypercube", (12,), 4096), ("johnson", (5, 11), 462), ("cycle", (1024,), 1024),
+    ("path", (2000,), 2000), ("hypercube", (16,), 65536)])
+def test_gen_family_builds_members_under_the_bound(name, params, n):
+    assert gen_family(name, params).n == n

@@ -13,6 +13,7 @@ from johnson_embed import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    rootgraph,
 )
 from johnson_embed.rootgraph import (
     BipartiteRoot,
@@ -244,3 +245,29 @@ def test_line_graph_shapes():
     lg, _ = line_graph(path_graph(5))
     assert lg.n == 4
     assert lg.edges == ((0, 1), (1, 2), (2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), small_graphs().map(lambda h: line_graph(h)[0])))
+def test_neighborhood_cliques_are_the_clique_loops_or_decline_on_a_certificate(g):
+    # Line graphs are claw-free, so the second strategy draws many graphs
+    # on which the neighborhoods decide.
+    cliques = rootgraph._neighborhood_cliques(g)
+    assert (cliques is None) == (find_claw_or_diamond(g) is not None)
+    if cliques is not None:
+        assert sorted(cliques) == reference_cliques(g)
+
+
+def reference_cliques(g):
+    """The clique loop: each edge not yet covered, plus its ends' common
+    neighbors, in a graph with no claw or diamond."""
+    cliques = []
+    covered = set()
+    for u, v in g.edges:
+        if (u, v) in covered:
+            continue
+        clique = sorted({u, v} | {w for w in g.neighbors[u] if g.has_edge(w, v)})
+        assert all(g.has_edge(*pair) for pair in combinations(clique, 2))
+        covered.update(combinations(clique, 2))
+        cliques.append(tuple(clique))
+    return sorted(cliques)
