@@ -278,15 +278,11 @@ def _rows_match(d: DistanceMatrix, masks: list[int]) -> bool:
     # offset stride - 1 - e, so a strided slice reads one element's column.
     bits = "".join(map(bin, map((1 << ground).__or__, masks))).encode()
     bits = bits.translate(_BIN_DIGITS)
-    columns = range(stride - 1, 2, -1)
-    if width == 1:
-        element = [int.from_bytes(bits[i::stride], "little") for i in columns]
-    else:
-        digits = bytearray(n * width)
-        element = []
-        for i in columns:
-            digits[::width] = bits[i::stride]
-            element.append(int.from_bytes(digits, "little"))
+    digits = bytearray(n * width)
+    element = []
+    for i in range(stride - 1, 2, -1):
+        digits[::width] = bits[i::stride]
+        element.append(int.from_bytes(digits, "little"))
     top = m * d._ones
     rows = [*map(d.packed, range(n))]
     parent = [-1] * n

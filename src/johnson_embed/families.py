@@ -92,7 +92,8 @@ _FAMILIES: dict[str, tuple[int, object]] = {
 
 
 # The most vertices, edges or (johnson) compared vertex pairs and subset
-# elements gen_family builds: Q12, J(5,11), C1024 and P2000 fit well under it.
+# elements gen_family builds, or vertex pairs random_connected_graph draws:
+# Q12, J(5,11), C1024 and P2000 fit well under it.
 MAX_GEN_SIZE = 10**6
 
 
@@ -169,12 +170,16 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     p, scanning pairs in lexicographic order with one uniform draw per pair
     from random.Random(seed), and rejects disconnected outcomes, continuing
     the same stream.  The result is a pure function of (n, p, seed).  Raises
-    ValueError when all _MAX_ATTEMPTS draws are disconnected.
+    ValueError when all _MAX_ATTEMPTS draws are disconnected, and before
+    any draw when the n(n-1)/2 pairs exceed MAX_GEN_SIZE (n >= 1415).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"need 0 < p <= 1, got {p}")
+    if n * (n - 1) // 2 > MAX_GEN_SIZE:
+        raise ValueError(f"family 'random' with {n} vertices would draw more than "
+                         f"{MAX_GEN_SIZE} vertex pairs")
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         edges = [

@@ -17,9 +17,10 @@ the graph's metric core: it also packs a row read by the split code into
 one int, whose digits are the row's distances, on first use, and keeps each
 distinct edge split once, keyed by the difference of its ends' packed rows
 (see walls.splits), so the splits live and die with the rows they were read
-from.  is_convex decides a set from the rows of its boundary members (those
-with an outside neighbour) and finds a witness from the row of one BFS
-source.
+from.  is_convex is the one convexity routine: it decides a set from the
+rows of its boundary members (those with an outside neighbour), or from the
+packed rows once every row exists, and finds a witness from the row of one
+BFS source.
 
 Two BFS loops live here.  _bfs_row computes a distance row level by level
 and serves only the matrix, whose row 0 is the connectivity check.  _bfs is
@@ -39,8 +40,8 @@ may be disconnected and opt out of the connectivity requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from operator import itemgetter, lt
+from itertools import combinations, compress, repeat
+from operator import itemgetter, length_hint, lt
 from struct import Struct
 
 
@@ -260,7 +261,7 @@ def parse_graph(data: bytes | str) -> Graph:
     Format: UTF-8 text; '#' starts a comment; blank lines are ignored.  The
     first significant line is the vertex count n, every following line is an
     edge 'u v' with 0-based endpoints.  Self-loops, duplicate edges, and
-    disconnected graphs are rejected.
+    disconnected graphs are rejected, by Graph's checks.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -271,7 +272,7 @@ def parse_graph(data: bytes | str) -> Graph:
         text = data
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -286,17 +287,9 @@ def parse_graph(data: bytes | str) -> Graph:
             continue
         if len(parts) != 2:
             raise ParseError(f"expected an edge 'u v', got {len(parts)} tokens", lineno)
-        u = _parse_int(parts[0], lineno, "vertex")
-        v = _parse_int(parts[1], lineno, "vertex")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range 0..{n - 1} in edge ({u}, {v})", lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-        seen.add(key)
-        edges.append((u, v))
+        edges.append((_parse_int(parts[0], lineno, "vertex"),
+                      _parse_int(parts[1], lineno, "vertex")))
+        lines.append(lineno)
     if n is None:
         raise ParseError("empty input: missing vertex count")
     if len(edges) < n - 1:
@@ -304,10 +297,17 @@ def parse_graph(data: bytes | str) -> Graph:
         raise ParseError(
             f"graph is disconnected: {n} vertices need at least {n - 1} edges, "
             f"got {len(edges)}")
+    # The edges Graph has not taken when it raises place the one it stopped at.
+    rest = iter(edges)
     try:
-        return Graph(n, edges)
+        g = Graph(n, rest, require_connected=False)
+    except GraphError as exc:
+        raise ParseError(str(exc), lines[len(lines) - length_hint(rest) - 1]) from exc
+    try:
+        g.distances()
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+    return g
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -357,25 +357,53 @@ def is_convex(d: DistanceMatrix, s) -> "bool | ConvexityWitness":
     its neighbour x' on a shortest x-z path is a member and leaks through
     (y, z) at a smaller d(., z), so some boundary member leaks too.
 
-    The verdict reads the row of each boundary member, in ascending order
-    up to the first that leaks, and compares it over all cut edges: listing
-    the cut edges costs the members' degrees, the test O(boundary·cut) at C
-    speed, and no row of an outside vertex is read.  A witness then reads
-    the rows of the interior members below that one, to find x (the
-    smallest member that leaks: a member leaks iff it ends some pair of
-    members with an outside vertex between them, so the smallest such end
-    is the witness's x), and the row of y.  y is the smallest
+    While some row is unread, the verdict reads the row of each boundary
+    member, in ascending order up to the first that leaks, and compares it
+    over all cut edges: O(boundary·cut) at C speed, and no row of an
+    outside vertex is read.  Once every row exists it reads none, and uses
+    the packed rows (DistanceMatrix.packed) instead: digit x of
+    P[y] + ones - P[z] is d(y, x) - d(z, x) + 1, at most 2 with no borrow
+    at any digit width (DistanceMatrix.compare), and 2 exactly when member
+    x leaks through (y, z).  With twos the int whose digit is 2 at each
+    member, s is convex iff (P[y] + ones - P[z]) & twos is 0 for every cut
+    edge, and a set that passes returns before any cut edge is listed.
+
+    A set that leaks then gets its witness.  The search reads the rows of
+    the interior members below the first boundary member that leaks, to
+    find x (the smallest member that leaks: a member leaks iff it ends some
+    pair of members with an outside vertex between them, so the smallest
+    such end is the witness's x), and the row of y.  y is the smallest
     member above x that some shortest path from x reaches through an
     outside vertex, found in one pass over row x by distance; z is the
     smallest outside vertex on a shortest x-y path.
     """
-    members = sorted(set(s))
+    n = d.n
+    # Each member's digit of twos (below) is 2.
+    inside = [0] * n
+    for x in s:
+        inside[x] = 2
+    members = [*compress(range(n), inside)]
     if len(members) < 2:
         return True
     neighbors = d._neighbors
-    inside = [False] * d.n
-    for x in members:
-        inside[x] = True
+    if len(d) == n:
+        width, packed, ones = d.width, d.packed, d._ones
+        digits = bytearray(n * width)
+        digits[::width] = inside
+        twos = int.from_bytes(digits, "little")
+        for y in members:
+            above = 0
+            for z in neighbors[y]:
+                if not inside[z]:
+                    # P[y] + ones, built at y's first outside neighbour.
+                    above = above or packed(y) + ones
+                    if (above - packed(z)) & twos:
+                        break
+            else:
+                continue
+            break
+        else:
+            return True
     cut_y: list[int] = []
     cut_z: list[int] = []
     for y in members:

@@ -9,6 +9,12 @@ ground set that stabilizes that image setwise lets the second vertex's image
 be fixed too: keep the low m - t elements, add the first t outside, where t
 is the distance between the first two vertices.  A negative answer is
 therefore one-sided: it only rules out ground sets up to the tried size.
+
+For a connected graph on h vertices the bound 2(h - 1) makes it two-sided.
+Drop from an embedding every element in all labels or in none: the
+symmetric differences stay.  Each element left is moved by some edge of a
+spanning tree, and each tree edge moves exactly two, so at most 2(h - 1)
+remain.
 """
 
 from __future__ import annotations

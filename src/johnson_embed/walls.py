@@ -36,19 +36,9 @@ therefore compares each crossing edge's packed difference P[y] - P[z] with
 the split's own before any convexity test.  When all match, neither side
 goes through is_convex.  When one differs (outside bipartite graphs that can
 happen even when both sides are convex), the sides go through is_convex as
-before, so every certificate is the one is_convex gives.
-
-Once the matrix holds every row, the scan decides a half H with no
-verdict yet from its cut edges (y, z), y in H and z outside, and their
-packed rows.  Digit x of P[y] + ones - P[z] is d(y, x) - d(z, x) + 1, and
-it is 2 exactly when x is nearer z, which is is_convex's criterion for
-member x leaking through (y, z); no digit exceeds 2 or borrows
-(DistanceMatrix.compare), so this holds at every digit width.  With twos
-the int whose digit is 2 at each member of H, H is convex iff
-(P[y] + ones - P[z]) & twos is 0 for every cut edge: the test is exact both
-ways.  A half that passes is convex; only a half that fails goes to
-is_convex, for its lexicographic witness.  The path reads no row, as every
-row exists, so which rows a decision reads does not change.
+before, so every certificate is the one is_convex gives.  Every other half
+goes through is_convex, the one convexity routine, which reads the packed
+rows itself once the matrix holds every row.
 """
 
 from __future__ import annotations
@@ -163,29 +153,6 @@ def _class_passes(d: DistanceMatrix, ew: EdgeWalls) -> bool:
     return True
 
 
-def _leak_free(d: DistanceMatrix, half: tuple[int, ...]) -> bool:
-    """True iff half is convex, from the packed rows of a complete matrix.
-
-    One subtraction and one mask test per cut edge, exact both ways (see
-    the module docstring); reads no row.
-    """
-    n, width, packed, ones = d.n, d.width, d.packed, d._ones
-    inside = bytearray(n)
-    for x in half:
-        inside[x] = 2
-    # twos: digit x is 2 for each member x, 0 elsewhere.
-    digits = bytearray(n * width)
-    digits[::width] = inside
-    twos = int.from_bytes(digits, "little")
-    neighbors = d._neighbors
-    for y in half:
-        above = packed(y) + ones
-        for z in neighbors[y]:
-            if not inside[z] and (above - packed(z)) & twos:
-                return False
-    return True
-
-
 class Wall(NamedTuple):
     """One complementary halfspace pair produced by an edge.
 
@@ -239,15 +206,7 @@ def _walls_from_splits(d: DistanceMatrix, ew: EdgeWalls,
         for half in (wall.neg, wall.pos):
             verdict = verdicts.get(half)
             if verdict is None:
-                # The packed test is exact, so only a half that leaks goes
-                # to is_convex, for its witness.  It runs only once every
-                # row exists: before that it would compute the rows of
-                # outside vertices, which is_convex never reads.
-                if len(d) == d.n and _leak_free(d, half):
-                    verdict = True
-                else:
-                    verdict = is_convex(d, half)
-                verdicts[half] = verdict
+                verdict = verdicts[half] = is_convex(d, half)
             if verdict is not True:
                 return WcCertificate(NONCONVEX_HALFSPACE, ew.edge, half=half,
                                      variant=wall.variant, witness=verdict)

@@ -326,6 +326,14 @@ def test_gen_random_out_of_attempts_is_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_gen_random_too_large_is_a_usage_error(capsys):
+    assert main(["gen", "random", "20000", "--p", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: family 'random' with 20000 vertices")
+    assert "Traceback" not in captured.err
+
+
 # ---- the narrowed parser against the full one ----
 
 # One valid argv per subcommand, every option of it set.

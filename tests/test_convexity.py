@@ -22,6 +22,7 @@ from johnson_embed.graphs import (
     ConvexityWitness,
     OddCycleWitness,
     induced_components,
+    distance_matrix,
     is_bipartite,
     is_convex,
 )
@@ -119,28 +120,38 @@ def complete_matrix_and_sets(draw):
     for edge in g.edges:
         walls._walls_from_splits(d, splits(g, edge), asked)
     subsets = draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=8))
-    return d, asked.asked + [tuple(sorted(s)) for s in subsets]
+    return g, asked.asked + [tuple(sorted(s)) for s in subsets]
+
+
+def assert_packed_verdicts_match_fresh_matrix(g, sets):
+    """On g's complete matrix, is_convex gives each set the verdict and
+    witness it gives on a fresh matrix of g, which still lacks rows."""
+    d = g.distances()
+    assert len(d) == d.n
+    for s in sets:
+        fresh = distance_matrix(g)
+        assert len(fresh) < fresh.n or g.n == 1
+        assert is_convex(d, s) == is_convex(fresh, s), s
 
 
 @settings(max_examples=300, deadline=None)
 @given(complete_matrix_and_sets())
-def test_packed_half_test_agrees_with_is_convex(case):
-    d, sets = case
-    assert len(d) == d.n
-    for s in sets:
-        assert walls._leak_free(d, s) == (is_convex(d, s) is True), s
+def test_complete_matrix_verdicts_match_fresh_matrix(case):
+    assert_packed_verdicts_match_fresh_matrix(*case)
 
 
-def test_packed_half_test_with_two_byte_digits():
+def test_complete_matrix_verdicts_with_two_byte_digits():
     # C300's distances need two-byte digits.  An arc of fewer than 150
     # vertices is convex, a longer one or two disjoint arcs are not.
-    d = cycle_graph(300).distances()
+    g = cycle_graph(300)
+    d = g.distances()
     all_rows(d)
     assert d.width == 2
-    for s in [range(10, 150), range(10, 170), [*range(0, 20), *range(100, 120)],
-              range(299), [7], []]:
-        half = tuple(s)
-        assert walls._leak_free(d, half) == (is_convex(d, half) is True), half
+    sets = [range(10, 150), range(10, 170), [*range(0, 20), *range(100, 120)],
+            range(299), [7], []]
+    verdicts = [is_convex(d, s) is True for s in sets]
+    assert verdicts == [True, False, False, False, True, True]
+    assert_packed_verdicts_match_fresh_matrix(g, sets)
 
 
 def test_convex_arc_reads_only_its_boundary_rows():

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,24 +371,46 @@ def test_build_embedding_computes_each_distinct_split_once(monkeypatch):
                          "induced_components": distinct[name]}, name
 
 
-def test_build_embedding_calls_is_convex_on_no_complete_matrix(monkeypatch):
-    # Once every row exists the scan decides each half from the packed rows,
-    # and only a half that leaks goes to is_convex, for its witness.  An
-    # accepted graph has no such half.
-    graphs = {"J(3,6)": johnson_graph(3, 6), "Petersen": petersen_graph(),
-              "K4xC5": cartesian_product(complete_graph(4), cycle_graph(5))}
+def _record_complete_is_convex(monkeypatch):
+    """Record (result, row test entered) for each is_convex call the wall
+    scan makes on a complete matrix.
+
+    The row test is entered when is_convex builds its itemgetters over the
+    cut edges, which the witness search also needs.
+    """
     original = walls.is_convex
+    getters = []
     complete = []
 
     def recorded(d, s):
-        complete.append(len(d) == d.n)
-        return original(d, s)
+        was_complete = len(d) == d.n
+        before = len(getters)
+        result = original(d, s)
+        if was_complete:
+            complete.append((result, len(getters) > before))
+        return result
+
+    def itemgetter_recorded(*items):
+        getters.append(items)
+        return itemgetter(*items)
 
     monkeypatch.setattr(walls, "is_convex", recorded)
+    monkeypatch.setattr("johnson_embed.graphs.itemgetter", itemgetter_recorded)
+    return complete
+
+
+def test_build_embedding_decides_complete_matrix_halves_from_packed_rows(monkeypatch):
+    # Once every row exists is_convex decides each half from the packed
+    # rows; only a half that leaks goes on to the row test and the witness
+    # search.  An accepted graph has no such half.
+    graphs = {"J(3,6)": johnson_graph(3, 6), "Petersen": petersen_graph(),
+              "K4xC5": cartesian_product(complete_graph(4), cycle_graph(5))}
+    complete = _record_complete_is_convex(monkeypatch)
     for name, g in graphs.items():
         complete.clear()
         assert isinstance(build_embedding(g), Embedding)
-        assert not any(complete), name
+        assert complete, name
+        assert set(complete) == {(True, False)}, name
 
 
 @pytest.mark.parametrize("make, m, ground_set, bipartite", [
@@ -397,17 +420,17 @@ def test_build_embedding_calls_is_convex_on_no_complete_matrix(monkeypatch):
 ], ids=["C300", "C301", "P257"])
 def test_build_embedding_at_two_byte_digits(monkeypatch, make, m, ground_set, bipartite):
     # Past 256 vertices each packed digit takes two bytes, so the split keys,
-    # the Θ class test, the packed half test and the Θ classes all read
+    # the Θ class test, is_convex's packed test and the Θ classes all read
     # two-byte digits.  The Θ class test decides every split of a bipartite
-    # graph; only the odd cycle's halves reach the packed half test.
+    # graph; only the odd cycle's halves reach is_convex on a complete matrix.
     g = make()
     assert g.distances().width == 2
-    calls = _count_calls(monkeypatch, (walls._leak_free,))
+    complete = _record_complete_is_convex(monkeypatch)
     emb = build_embedding(g)
     assert isinstance(emb, Embedding)
     assert (emb.m, emb.ground_set_size) == (m, ground_set)
     assert_isometric(g, emb)
-    assert (calls["_leak_free"] > 0) != bipartite
+    assert (len(complete) > 0) != bipartite
 
 
 def test_embed_hypercube_at_two_byte_digits():

@@ -132,6 +132,25 @@ def test_random_connected_graph_exhausts_budget():
         random_connected_graph(5, 1e-12, seed=0)
 
 
+class _Drawn(Exception):
+    pass
+
+
+def test_random_connected_graph_refuses_too_many_pairs_before_drawing(monkeypatch):
+    # 1414 vertices have 998991 pairs and reach the first draw; 1415 have
+    # 1000405 and are refused before any.
+    def drawn(seed):
+        raise _Drawn
+
+    monkeypatch.setattr(families.random, "Random", drawn)
+    with pytest.raises(_Drawn):
+        random_connected_graph(1414, 0.5, seed=0)
+    for n in (1415, 20000, 10**30):
+        with pytest.raises(ValueError, match=f"{n} vertices would draw more than "
+                                             f"{families.MAX_GEN_SIZE} vertex pairs"):
+            random_connected_graph(n, 0.5, seed=0)
+
+
 @pytest.mark.parametrize("name, params, what", [
     ("hypercube", (40,), "vertices"),
     ("hypercube", (10**15,), "vertices"),

@@ -165,6 +165,56 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("# only a comment\n")
 
 
+@st.composite
+def edge_list_text(draw):
+    """An edge_input case as edge-list text with comments and blank lines
+    mixed in, and the line of each edge."""
+    n, edges = draw(edge_input())
+    out = []
+
+    def filler():
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(draw(st.sampled_from(["", "   ", "# comment", "\t# 0 1"])))
+
+    filler()
+    out.append(str(n))
+    edge_lines = []
+    for u, v in edges:
+        filler()
+        out.append(f"{u} {v}" + draw(st.sampled_from(["", "  # edge", "\t"])))
+        edge_lines.append(len(out))
+    filler()
+    return n, edges, edge_lines, "\n".join(out) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_text())
+def test_parse_graph_names_the_line_of_the_first_bad_edge(case):
+    n, edges, edge_lines, text = case
+    error = reference_first_error(n, edges)
+    if len(edges) < n - 1:
+        with pytest.raises(ParseError, match=f"need at least {n - 1} edges") as exc:
+            parse_graph(text)
+        assert exc.value.line is None
+    elif error is not None:
+        first = next(i for i in range(len(edges))
+                     if reference_first_error(n, edges[:i + 1]) is not None)
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == f"line {edge_lines[first]}: {error}"
+        assert exc.value.line == edge_lines[first]
+    else:
+        try:
+            g = Graph(n, edges)
+        except GraphError as disconnected:
+            with pytest.raises(ParseError) as exc:
+                parse_graph(text)
+            assert str(exc.value) == str(disconnected)
+            assert exc.value.line is None
+        else:
+            assert parse_graph(text).edges == g.edges
+
+
 def test_distance_matrix_small_cases():
     d = distance_matrix(cycle_graph(5))
     assert d[0][0] == 0

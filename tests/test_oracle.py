@@ -1,7 +1,12 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from johnson_embed import (
     Embedding,
+    Graph,
+    build_embedding,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -97,6 +102,25 @@ def test_oracle_agrees_with_pipeline_on_corpus(corpus_decisions):
             continue
         res = oracle_decide(g)
         assert res.found == accepted, name
+
+
+@st.composite
+def small_connected_graph(draw):
+    n = draw(st.integers(1, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(combinations(range(n), 2))
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, sorted(set(tree) | extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_connected_graph())
+def test_oracle_with_tree_bound_decides_like_the_pipeline(g):
+    # A graph on h vertices that embeds does so over at most 2(h - 1)
+    # elements (see the oracle's module docstring), so at that bound the
+    # oracle's "no" is a full rejection and both directions must agree.
+    accepted = isinstance(build_embedding(g), Embedding)
+    assert oracle_decide(g, 2 * (g.n - 1)).found == accepted
 
 
 def test_oracle_finds_johnson_fixed_points():
