@@ -223,8 +223,7 @@ class DistanceMatrix(dict):
         self._ones = int.from_bytes(b"\1".ljust(width, b"\0") * g.n, "little")
         self._neighbors = g.neighbors
         self._pack_row = Struct(f"<{g.n}{_ROW_FORMATS[width]}").pack
-        # The rows packed so far.  walls.splits and its scan read this dict
-        # directly, and pack through packed() only a row not in it yet.
+        # The rows packed so far, filled by packed().
         self._packed: dict[int, int] = {}
         # walls.splits: abs(P[u] - P[v]) -> (w_th, w_ht, eq components), where
         # t, h are u, v ordered so that P[t] > P[h].
@@ -424,7 +423,8 @@ def is_convex(d: DistanceMatrix, s) -> "bool | ConvexityWitness":
         dx = d[x]
         return any(map(lt, at_z(dx), at_y(dx)))
 
-    if not any(map(leaks, boundary)):
+    # On a complete matrix the packed test above has already found a leak.
+    if len(d) < n and not any(map(leaks, boundary)):
         return True
     # Stops at or before the first boundary member that leaks; the boundary
     # members below it already have their rows.

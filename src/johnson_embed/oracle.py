@@ -3,11 +3,13 @@
 Labels are bitmasks over a ground set of size n.  The search assigns
 vertices in BFS order from vertex 0 (the discovery order of graphs._bfs,
 the package's one structural traversal), pruning on the pairwise
-requirement |X ^ Y| = 2 d(x, y) against every assigned vertex.  Vertex 0's
-image is fixed to the first m elements; composing with a permutation of the
-ground set that stabilizes that image setwise lets the second vertex's image
-be fixed too: keep the low m - t elements, add the first t outside, where t
-is the distance between the first two vertices.  A negative answer is
+requirement |X ^ Y| = 2 d(x, y) against every assigned vertex.  A vertex's
+BFS parent is placed before it and at distance 1, so only the m(n - m)
+single swaps of the parent's label can pass; they are tried in
+combinations(range(n), m) order.  Vertex 0's image is fixed to the first m
+elements, and the second vertex's to its first swap (drop m - 1, add m): a
+permutation of the ground set that stabilizes the first image setwise
+carries any single swap of it to any other.  A negative answer is
 therefore one-sided: it only rules out ground sets up to the tried size.
 
 For a connected graph on h vertices the bound 2(h - 1) makes it two-sided.
@@ -20,7 +22,6 @@ remain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from math import comb
 
 from .graphs import ConsistencyError, Graph, _bfs
@@ -36,7 +37,7 @@ class OracleResult:
     nodes_explored: int
 
 
-# brute_force_embed lists all C(n, m) label masks; C(20, 10) is 184,756.
+# Each swap list holds m(n - m) <= 100 masks at this bound.
 MAX_GROUND = 20
 
 
@@ -44,8 +45,8 @@ def brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
     """Search for an embedding with labels of size m over a ground set of size n.
 
     Requires 1 <= m <= n/2 (larger m is equivalent by complementation) and
-    n <= MAX_GROUND, checked before any mask is listed.  nodes_explored
-    counts label assignments that passed the pairwise check.
+    n <= MAX_GROUND, checked before any search.  nodes_explored counts
+    label assignments that passed the pairwise check.
     """
     if not (1 <= m and 2 * m <= n):
         raise ValueError(f"require 1 <= m <= n/2, got (m, n) = ({m}, {n})")
@@ -54,18 +55,26 @@ def brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
     if comb(n, m) < g.n:
         return OracleResult(False, m, n, None, 0)
     d = g.distances()
-    order = _bfs(g.neighbors, 0, [-1] * g.n)
-    base = (1 << m) - 1
-    placed: list[tuple[int, int]] = [(order[0], base)]
+    parent = [-1] * g.n
+    order = _bfs(g.neighbors, 0, parent)
+    label = [0] * g.n
+    # swaps[u]: a label of u and its single swaps, rebuilt when label[u]
+    # differs.  No label is 0, since m >= 1.
+    swaps: list[tuple[int, list[int]]] = [(0, [])] * g.n
+    single = [1 << b for b in range(n)]
+
+    def swaps_of(u: int) -> list[int]:
+        x = label[u]
+        if swaps[u][0] != x:
+            # combinations lists ascending tuples in lexicographic order.
+            swaps[u] = x, sorted((x ^ i ^ j for i in single if x & i
+                                  for j in single if not x & j), key=_bits)
+        return swaps[u][1]
+
+    label[order[0]] = (1 << m) - 1
     if g.n >= 2:
-        t = d[order[0]][order[1]]
-        if t > m or t > n - m:
-            return OracleResult(False, m, n, None, 0)
-        low = ((1 << (m - t)) - 1)
-        second = low | (((1 << t) - 1) << m)
-        placed.append((order[1], second))
-    masks = [_mask(c) for c in combinations(range(n), m)]
-    nodes = len(placed)
+        label[order[1]] = swaps_of(order[0])[0]
+    nodes = min(g.n, 2)
 
     def place(idx: int) -> bool:
         nonlocal nodes
@@ -73,25 +82,21 @@ def brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
             return True
         v = order[idx]
         dv = d[v]
-        for x in masks:
-            ok = True
-            for w, wm in placed:
-                if (x ^ wm).bit_count() != dv[w] << 1:
-                    ok = False
+        earlier = order[:idx]
+        for x in swaps_of(parent[v]):
+            for w in earlier:
+                if (x ^ label[w]).bit_count() != dv[w] << 1:
                     break
-            if not ok:
-                continue
-            placed.append((v, x))
-            nodes += 1
-            if place(idx + 1):
-                return True
-            placed.pop()
+            else:
+                label[v] = x
+                nodes += 1
+                if place(idx + 1):
+                    return True
         return False
 
-    if not place(len(placed)):
+    if not place(nodes):
         return OracleResult(False, m, n, None, nodes)
-    by_vertex = dict(placed)
-    labels = tuple(_bits(by_vertex[v]) for v in range(g.n))
+    labels = tuple(map(_bits, label))
     if verify_embedding(d, labels) is not True:
         raise ConsistencyError("oracle produced a labeling that fails verification")
     return OracleResult(True, m, n, labels, nodes)
@@ -104,7 +109,7 @@ def oracle_decide(g: Graph, n_max: int = 8) -> OracleResult:
     cumulative node counts, or a not-found result whose negative answer
     covers only ground sets up to n_max.  A single vertex embeds trivially
     with m = 0.  n_max above MAX_GROUND raises ValueError before any search,
-    which keeps the mask lists small; so does a negative n_max, which no
+    which keeps the swap lists small; so does a negative n_max, which no
     ground set meets.
     """
     if n_max < 0:
@@ -121,13 +126,6 @@ def oracle_decide(g: Graph, n_max: int = 8) -> OracleResult:
             if result.found:
                 return replace(result, nodes_explored=total)
     return OracleResult(False, None, None, None, total)
-
-
-def _mask(combo: tuple[int, ...]) -> int:
-    x = 0
-    for b in combo:
-        x |= 1 << b
-    return x
 
 
 def _bits(mask: int) -> tuple[int, ...]:

@@ -115,11 +115,7 @@ def splits(g: Graph, edge: tuple[int, int]) -> EdgeWalls:
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
     d = g.distances()
-    packed = d._packed
-    try:
-        diff = packed[u] - packed[v]
-    except KeyError:
-        diff = d.packed(u) - d.packed(v)
+    diff = d.packed(u) - d.packed(v)
     key = abs(diff)
     known = d._splits.get(key)
     if known is None:
@@ -263,11 +259,11 @@ def _scan(g: Graph):
     d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
     passed: set[int] = set()
-    packed = d._packed
+    packed = d.packed
     for u, v in _edges_in_order(g):
         ew = splits(g, (u, v))
         # The split's memo key (see splits), which packed both ends.
-        key = abs(packed[u] - packed[v])
+        key = abs(packed(u) - packed(v))
         if key in passed:
             yield ew, None
             continue

@@ -4,8 +4,11 @@ every row of a distance matrix."""
 
 import random
 from itertools import combinations
+from math import comb
 
 from johnson_embed import Graph
+from johnson_embed.graphs import _bfs
+from johnson_embed.oracle import OracleResult
 
 
 def all_rows(d) -> tuple[tuple[int, ...], ...]:
@@ -83,3 +86,50 @@ def random_tree_plus_edges(n: int, p: float, seed: int) -> Graph:
     tree = {tuple(sorted((order[rng.randrange(i)], order[i]))) for i in range(1, n)}
     extra = {e for e in combinations(range(n), 2) if e not in tree and rng.random() < p}
     return Graph(n, sorted(tree | extra))
+
+
+def reference_brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
+    """The oracle's search over every one of the C(n, m) masks at each vertex.
+
+    oracle.brute_force_embed tries only single swaps of the BFS parent's
+    label, which are the masks that pass here, in the same order; so both
+    give the same labels and node counts.  Needs 1 <= m <= n/2.
+    """
+    if comb(n, m) < g.n:
+        return OracleResult(False, m, n, None, 0)
+    d = g.distances()
+    order = _bfs(g.neighbors, 0, [-1] * g.n)
+    base = (1 << m) - 1
+    placed: list[tuple[int, int]] = [(order[0], base)]
+    if g.n >= 2:
+        t = d[order[0]][order[1]]
+        if t > m or t > n - m:
+            return OracleResult(False, m, n, None, 0)
+        low = ((1 << (m - t)) - 1)
+        second = low | (((1 << t) - 1) << m)
+        placed.append((order[1], second))
+    masks = [sum(1 << b for b in c) for c in combinations(range(n), m)]
+    nodes = len(placed)
+
+    def place(idx: int) -> bool:
+        nonlocal nodes
+        if idx == g.n:
+            return True
+        v = order[idx]
+        dv = d[v]
+        for x in masks:
+            if any((x ^ wm).bit_count() != dv[w] << 1 for w, wm in placed):
+                continue
+            placed.append((v, x))
+            nodes += 1
+            if place(idx + 1):
+                return True
+            placed.pop()
+        return False
+
+    if not place(len(placed)):
+        return OracleResult(False, m, n, None, nodes)
+    by_vertex = dict(placed)
+    labels = tuple(tuple(b for b in range(n) if by_vertex[v] >> b & 1)
+                   for v in range(g.n))
+    return OracleResult(True, m, n, labels, nodes)

@@ -135,7 +135,8 @@ def test_criterion_3_oracle_agreement(full_corpus, corpus_decisions):
                 assert isinstance(result, RejectionCertificate), name
                 assert result.stage in ("WC", "AGC"), name
                 if g.n <= 8:
-                    res = oracle_decide(g, n_max=8)
+                    # 2(h - 1) makes the oracle's "no" a full rejection.
+                    res = oracle_decide(g, n_max=2 * (g.n - 1))
                     assert not res.found, name
         assert time.perf_counter() - start < 120.0
 

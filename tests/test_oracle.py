@@ -19,7 +19,7 @@ from johnson_embed import (
 from johnson_embed import oracle
 from johnson_embed.oracle import MAX_GROUND, brute_force_embed
 
-from helpers import all_rows
+from helpers import all_rows, reference_brute_force_embed
 
 
 def test_brute_force_finds_cycle5():
@@ -105,16 +105,24 @@ def test_oracle_agrees_with_pipeline_on_corpus(corpus_decisions):
 
 
 @st.composite
-def small_connected_graph(draw):
-    n = draw(st.integers(1, 6))
+def small_connected_graph(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs = list(combinations(range(n), 2))
     extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return Graph(n, sorted(set(tree) | extra))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(small_connected_graph())
+def test_brute_force_matches_the_full_mask_search(g):
+    for n in range(2, 11):
+        for m in range(1, n // 2 + 1):
+            assert brute_force_embed(g, m, n) == reference_brute_force_embed(g, m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_connected_graph(max_n=7))
 def test_oracle_with_tree_bound_decides_like_the_pipeline(g):
     # A graph on h vertices that embeds does so over at most 2(h - 1)
     # elements (see the oracle's module docstring), so at that bound the
@@ -168,9 +176,9 @@ def test_oracle_decide_refuses_a_negative_bound(monkeypatch):
 
 
 def test_brute_force_bounds_the_ground_set(monkeypatch):
-    def no_masks(combo):
-        raise AssertionError("listed masks past the ground set limit")
+    def no_search(*args):
+        raise AssertionError("searched past the ground set limit")
 
-    monkeypatch.setattr(oracle, "_mask", no_masks)
+    monkeypatch.setattr(oracle, "_bfs", no_search)
     with pytest.raises(ValueError, match="limit of 20"):
         brute_force_embed(cycle_graph(5), 1, MAX_GROUND + 1)
