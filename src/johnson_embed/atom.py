@@ -3,12 +3,12 @@
 The scalar of two oriented edges e = (u, v) and f = (x, y) is
 d(u,y) + d(v,x) - d(u,x) - d(v,y); its value always lies in -2..2.  With a
 basepoint b fixed, the vertical edges (those whose endpoints sit at
-different depths) are oriented tail-closer-to-b and grouped into classes by
-their halfspace split pair.  The splits are read from the WallSystem of the
-wallspace check, which split every edge once; nothing here splits again.
-On graphs passing the wallspace condition, two such edges share a class
-exactly when their scalar is 2, and the atom graph joins two classes exactly
-when representatives have scalar 1, a value independent of the chosen
+different depths) are oriented tail-closer-to-b by one walk of row b
+(_vertical) and grouped into classes by their halfspace split pair, read
+from the packed rows; nothing here splits an edge.  On graphs passing the
+wallspace condition, two such edges share a class exactly when their
+scalar is 2, and the atom graph joins two classes exactly when
+representatives have scalar 1, a value independent of the chosen
 representatives.
 """
 
@@ -32,17 +32,23 @@ def scalar(d: DistanceMatrix, e: tuple[int, int], f: tuple[int, int]) -> int:
     return value
 
 
+def _vertical(neighbors: tuple[tuple[int, ...], ...], db):
+    """Yield each edge whose ends differ in depth as (tail, head).
+
+    db[v] is v's depth from the basepoint and the tail is the shallower end.
+    Every edge is met from both ends and yielded only from its tail.  Tails
+    ascend and neighbor lists are sorted, so the edges come out sorted.
+    """
+    for t, nb in enumerate(neighbors):
+        dt = db[t]
+        for h in nb:
+            if db[h] > dt:
+                yield t, h
+
+
 def vertical_edges(g: Graph, b: int) -> tuple[tuple[int, int], ...]:
     """Edges whose endpoints differ in depth from b, oriented tail closer, sorted."""
-    db = g.distances()[b]
-    oriented = []
-    for u, v in g.edges:
-        du, dv = db[u], db[v]
-        if du < dv:
-            oriented.append((u, v))
-        elif dv < du:
-            oriented.append((v, u))
-    return tuple(sorted(oriented))
+    return tuple(_vertical(g.neighbors, g.distances()[b]))
 
 
 @dataclass(frozen=True)
@@ -58,28 +64,25 @@ class ThetaClasses:
 
 
 def theta1_classes(ws: WallSystem, d: DistanceMatrix, b: int) -> ThetaClasses:
-    """Group the vertical edges of basepoint b by the splits in ws.
+    """Group the vertical edges of basepoint b by their splits.
 
-    Taking the WallSystem means the wallspace check has passed, and that
-    check read every row of the graph's matrix d.  A vertical edge oriented (t, h), tail t
-    nearer b, is keyed by the packed difference P[t] - P[h], whose digits
-    d(t, x) - d(h, x) place every vertex on its side (walls.splits): equal
-    keys mean the same split in the same orientation, so the classes are
-    those of equal split pairs.  Edges (u, v) and (x, y) of one class have
-    equal digits, so their scalar, (d(u, y) - d(v, y)) - (d(u, x) - d(v, x)),
-    is (d(x, y) - d(y, y)) - (d(x, x) - d(y, x)) = 2.
+    ws is read only for its type: taking the WallSystem means the wallspace
+    check has passed, and that check read every row of the graph's matrix
+    d.  A vertical edge oriented (t, h), tail t nearer b, is keyed by the
+    packed difference P[t] - P[h], whose digits d(t, x) - d(h, x) place
+    every vertex on its side (walls.splits): equal keys mean the same split
+    in the same orientation, so the classes are those of equal split pairs.
+    Edges (u, v) and (x, y) of one class have equal digits, so their scalar,
+    (d(u, y) - d(v, y)) - (d(u, x) - d(v, x)), is
+    (d(x, y) - d(y, y)) - (d(x, x) - d(y, x)) = 2.
     """
-    db = d[b]
     packed = [*map(d.packed, range(d.n))]
     groups: dict[int, list[tuple[int, int]]] = {}
-    for ew in ws.edge_walls:
-        u, v = ew.edge
-        if db[u] < db[v]:
-            groups.setdefault(packed[u] - packed[v], []).append((u, v))
-        elif db[v] < db[u]:
-            groups.setdefault(packed[v] - packed[u], []).append((v, u))
-    classes = sorted(tuple(sorted(members)) for members in groups.values())
-    return ThetaClasses(b, tuple(classes))
+    for t, h in _vertical(d._neighbors, d[b]):
+        groups.setdefault(packed[t] - packed[h], []).append((t, h))
+    # Sorted edges in, so each class is sorted and the classes come in
+    # order of their smallest edge.
+    return ThetaClasses(b, tuple(map(tuple, groups.values())))
 
 
 def atom_graph(d: DistanceMatrix, classes: ThetaClasses, *,

@@ -18,10 +18,10 @@ vertex 0, a tree edge uv whose labels differ in two elements, i in L_u and
 j in L_v, gives S_v = S_u - M_i + M_j, and v passes when
 m * ones - S_v is its packed row P[v].  While m < 256**width no digit
 carries, so the int comparison is exact, and every vertex but 0 passing
-is every pair passing; S_0 is counted directly.  The pairwise path
-(_first_mismatch, one popcount per pair) runs only when the rows do not
-match, to name the lexicographically first failing pair, or when m is
-too large for a digit.
+is every pair passing; S_0 is the sum of M_e over e in L_0.  The
+pairwise path (_first_mismatch, one popcount per pair) runs only when the
+rows do not match, to name the lexicographically first failing pair, or
+when m is too large for a digit.
 
 The hypercube embedding reads the same wall system: a bipartite graph has no
 equidistant vertices, so it passes the wallspace check exactly when every
@@ -33,6 +33,7 @@ side contains it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .atom import ThetaClasses, atom_graph, theta1_classes
 from .graphs import (
@@ -152,14 +153,12 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     if isinstance(root, RootCertificate):
         return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
                            sigma=sigma, root_certificate=root)
-    b_ids = sorted(root.b_side)
-    a_ids = sorted(root.a_side)
-    dense = {rid: i for i, rid in enumerate(b_ids)}
-    dense.update({rid: len(b_ids) + i for i, rid in enumerate(a_ids)})
+    # Elements numbered b side first; bipartite_root sorts both sides.
+    dense = {rid: i for i, rid in enumerate(root.b_side + root.a_side)}
     assignment = LabelAssignment(
         b, tuple((dense[i], dense[j]) for i, j in root.vertex_to_edge))
-    m = len(b_ids)
-    ground = len(b_ids) + len(a_ids)
+    m = len(root.b_side)
+    ground = len(dense)
     edge_class = {
         e: idx for idx, cls in enumerate(classes.classes) for e in cls
     }
@@ -171,7 +170,7 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     masks[b] = (1 << m) - 1
     internal: InternalWitness | None = None
     db = d[b]
-    for v in sorted(range(g.n), key=lambda v: (db[v], v)):
+    for v in sorted(range(g.n), key=db.__getitem__):
         if v == b:
             continue
         u = parent[v]
@@ -287,11 +286,11 @@ def _rows_match(d: DistanceMatrix, masks: list[int]) -> bool:
     rows = [*map(d.packed, range(n))]
     parent = [-1] * n
     order = _bfs(d._neighbors, 0, parent)
-    # S_0 directly: digit y is |L_0 & L_y| <= m, which fits a digit.  Row 0
-    # needs no check of its own: row y's check covers the pair (0, y).
+    # S_0 is the sum of M_e over e in L_0, picked by row 0's bits read from
+    # offset stride - 1 down: digit y is |L_0 & L_y| <= m, which fits a
+    # digit.  Row 0 needs no check of its own: row y's check covers (0, y).
     S = [0] * n
-    S[0] = int.from_bytes(
-        d._pack_row(*map(int.bit_count, map(masks[0].__and__, masks))), "little")
+    S[0] = sum(compress(element, bits[stride - 1:2:-1]))
     # S[u] is held until u's last BFS child is done: about two levels.
     last = 0
     for v in order[1:]:

@@ -123,7 +123,8 @@ class BipartiteRoot:
     Root vertices are numbered cliques first, then pendant vertices for
     single-clique input vertices, then fresh pairs for isolated input
     vertices.  vertex_to_edge[x] is input vertex x's root edge, ordered
-    (b_end, a_end); it is a bijection onto the root's edges.
+    (b_end, a_end); it is a bijection onto the root's edges.  a_side and
+    b_side are sorted.
     """
 
     a_side: tuple[int, ...]

@@ -4,8 +4,8 @@ Every edge uv splits the vertex set into the side closer to u, the side
 closer to v, and an equidistant remainder.  The wallspace condition requires
 the equidistant remainder to induce at most two components and both ways of
 attaching those components to the strict sides to yield complementary convex
-halfspaces.  A graph passing the condition gets a WallSystem: the per-edge
-data plus the deduplicated walls with multiplicities.
+halfspaces.  A graph passing the condition gets a WallSystem: its
+deduplicated walls with multiplicities.
 
 This module is the only one that splits edges.  check_wc and check_wc_all
 are one scan that splits every edge once, in edge order.  Edges of one Θ
@@ -14,7 +14,8 @@ splits memoizes it on the graph's distance matrix under one int key, so
 only the first edge of a class runs w_sets and induced_components and the
 rest share its tuples.  Within a scan each distinct half is tested for
 convexity once, and an edge whose split already passed adds no walls.  The
-later stages (Θ classes, the hypercube embedder) read the WallSystem.
+hypercube embedder and the CLI read the WallSystem's walls; the Θ classes
+(atom.theta1_classes) take it only as proof that the check passed.
 
 The split code works on the matrix's packed rows (DistanceMatrix.packed):
 row u as one int P[u] whose base-256**width digit x is d(u, x).  For an
@@ -44,7 +45,7 @@ rows itself once the matrix holds every row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, starmap
 from typing import NamedTuple
 
 from .graphs import (
@@ -232,9 +233,8 @@ class SystemWall:
 
 @dataclass(frozen=True)
 class WallSystem:
-    """All per-edge walls of a graph passing the wallspace condition."""
+    """The deduplicated walls of a graph passing the wallspace condition."""
 
-    edge_walls: tuple[EdgeWalls, ...]
     walls: tuple[SystemWall, ...]
 
     def separation(self, u: int, v: int) -> int:
@@ -243,7 +243,7 @@ class WallSystem:
 
 
 def _scan(g: Graph):
-    """Yield (EdgeWalls, result) for every edge in order, splitting each once.
+    """Yield each edge's result in edge order, splitting each edge once.
 
     The edges are walked from g's sorted neighbor lists, in the order of
     g.edges, so a scan that stops at an early edge never builds that tuple.
@@ -265,7 +265,7 @@ def _scan(g: Graph):
         # The split's memo key (see splits), which packed both ends.
         key = abs(packed(u) - packed(v))
         if key in passed:
-            yield ew, None
+            yield None
             continue
         if (not ew.eq_components and ew.w_uv not in verdicts
                 and ew.w_vu not in verdicts and _class_passes(d, ew)):
@@ -273,7 +273,7 @@ def _scan(g: Graph):
         result = _walls_from_splits(d, ew, verdicts)
         if not isinstance(result, WcCertificate):
             passed.add(key)
-        yield ew, result
+        yield result
 
 
 def check_wc(g: Graph) -> "WallSystem | WcCertificate":
@@ -284,29 +284,23 @@ def check_wc(g: Graph) -> "WallSystem | WcCertificate":
     the walls of all edges are deduplicated into SystemWalls ordered by
     first appearance.
     """
-    edge_walls: list[EdgeWalls] = []
-    system: dict[tuple[tuple[int, ...], tuple[int, ...]], SystemWall] = {}
-    for ew, result in _scan(g):
+    multiplicity: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for result in _scan(g):
         if isinstance(result, WcCertificate):
             return result
-        edge_walls.append(ew)
         if result is None:
             continue
         k1, k2 = map(_canonical_halves, result)
-        contributions = {k1: 2} if k1 == k2 else {k1: 1, k2: 1}
-        for halves, mult in contributions.items():
-            known = system.get(halves)
-            if known is None:
-                system[halves] = SystemWall(halves, mult)
-            elif known.multiplicity != mult:
+        for halves, mult in ({k1: 2} if k1 == k2 else {k1: 1, k2: 1}).items():
+            if multiplicity.setdefault(halves, mult) != mult:
                 raise ConsistencyError(
                     f"wall {halves} arises with inconsistent multiplicity")
-    return WallSystem(tuple(edge_walls), tuple(system.values()))
+    return WallSystem(tuple(starmap(SystemWall, multiplicity.items())))
 
 
 def check_wc_all(g: Graph) -> list[WcCertificate]:
     """Exhaustive variant: certificates for every failing edge (empty if none)."""
-    return [result for _, result in _scan(g) if isinstance(result, WcCertificate)]
+    return [result for result in _scan(g) if isinstance(result, WcCertificate)]
 
 
 def _canonical_halves(wall: Wall) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -7,14 +7,39 @@ from itertools import combinations
 from math import comb
 
 from johnson_embed import Graph
+from johnson_embed.atom import ThetaClasses
 from johnson_embed.graphs import _bfs
 from johnson_embed.oracle import OracleResult
+from johnson_embed.walls import splits
 
 
 def all_rows(d) -> tuple[tuple[int, ...], ...]:
     """Every row of distance matrix d in vertex order, computing those not
     read yet."""
     return tuple(d[u] for u in range(d.n))
+
+
+def reference_vertical_edges(g: Graph, b: int) -> tuple[tuple[int, int], ...]:
+    """Each edge of g.edges whose ends differ in depth from b, tail nearer b,
+    then sorted."""
+    db = g.distances()[b]
+    oriented = []
+    for u, v in g.edges:
+        if db[u] < db[v]:
+            oriented.append((u, v))
+        elif db[v] < db[u]:
+            oriented.append((v, u))
+    return tuple(sorted(oriented))
+
+
+def reference_theta1_classes(g: Graph, b: int) -> ThetaClasses:
+    """The vertical edges of b grouped by the strict sides splits gives them,
+    each class sorted and the classes sorted."""
+    groups: dict = {}
+    for t, h in reference_vertical_edges(g, b):
+        ew = splits(g, (t, h))
+        groups.setdefault((ew.w_uv, ew.w_vu), []).append((t, h))
+    return ThetaClasses(b, tuple(sorted(tuple(sorted(m)) for m in groups.values())))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:

@@ -8,6 +8,8 @@ from johnson_embed import (
     check_wc,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
+    johnson_graph,
     path_graph,
     petersen_graph,
     random_connected_graph,
@@ -17,6 +19,7 @@ from johnson_embed.atom import ThetaClasses, scalar, vertical_edges
 from johnson_embed.graphs import ConsistencyError
 
 from conftest import named_corpus
+from helpers import cartesian_product, reference_theta1_classes, reference_vertical_edges
 
 SMALL_FAMILIES = [g for _, g in named_corpus() if g.n <= 10]
 
@@ -140,6 +143,40 @@ def test_theta_class_is_the_scalar_two_set_of_its_representative(case):
     for members in theta1_classes(ws, d, b).classes:
         rep = members[0]
         assert members == tuple(e for e in vertical if scalar(d, rep, e) == 2)
+
+
+# Factors of at most 6 vertices, so a product with K2 has at most 12.
+K2_FACTORS = [path_graph(2), path_graph(3), cycle_graph(4), cycle_graph(5),
+              cycle_graph(6), complete_graph(3), complete_graph(4),
+              hypercube_graph(2), johnson_graph(2, 4)]
+
+
+@st.composite
+def wc_graph_up_to_12(draw):
+    """A connected graph of at most 12 vertices that passes the wallspace
+    condition, with its WallSystem: random, a small family member, or a
+    product with K2, whose classes have several edges."""
+    kind = draw(st.sampled_from(["random", "family", "product"]))
+    if kind == "random":
+        n, p = draw(st.integers(1, 12)), draw(st.sampled_from([0.2, 0.3, 0.5, 0.7]))
+        g = random_connected_graph(n, p, seed=draw(st.integers(0, 2**32 - 1)))
+    elif kind == "family":
+        g = draw(st.sampled_from(SMALL_FAMILIES))
+    else:
+        g = cartesian_product(path_graph(2), draw(st.sampled_from(K2_FACTORS)))
+    ws = check_wc(g)
+    assume(not isinstance(ws, WcCertificate))
+    return g, ws
+
+
+@settings(max_examples=200, deadline=None)
+@given(wc_graph_up_to_12())
+def test_classes_and_vertical_edges_match_the_references(case):
+    g, ws = case
+    d = g.distances()
+    for b in range(g.n):
+        assert vertical_edges(g, b) == reference_vertical_edges(g, b)
+        assert theta1_classes(ws, d, b) == reference_theta1_classes(g, b)
 
 
 def test_atom_graph_cycle5_is_path():

@@ -17,6 +17,8 @@ from johnson_embed import (
     petersen_graph,
     random_connected_graph,
 )
+from johnson_embed.embedder import HypercubeEmbedding, embed_hypercube
+from johnson_embed.graphs import induced_subgraph
 
 from conftest import named_corpus
 from helpers import cartesian_product
@@ -66,6 +68,28 @@ def test_hypercube_embeds_into_the_johnson_graph_of_twice_its_dimension(d):
     result = build_embedding(hypercube_graph(d))
     assert isinstance(result, Embedding)
     assert (result.m, result.ground_set_size) == (d, 2 * d)
+
+
+@st.composite
+def hypercube_induced_subgraph(draw):
+    """A connected induced subgraph of Q2 to Q5, grown from vertex 0 one
+    neighbour of the vertices taken so far at a time."""
+    q = hypercube_graph(draw(st.integers(2, 5)))
+    taken = [0]
+    for pick in draw(st.lists(st.integers(0, q.n), max_size=q.n - 1)):
+        frontier = sorted({w for v in taken for w in q.neighbors[v]}.difference(taken))
+        taken.append(frontier[pick % len(frontier)])
+    return induced_subgraph(q, taken)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypercube_induced_subgraph())
+def test_partial_cube_of_dimension_k_embeds_with_m_k_and_ground_2k(g):
+    cube = embed_hypercube(g)
+    assume(isinstance(cube, HypercubeEmbedding))
+    result = build_embedding(g)
+    assert isinstance(result, Embedding)
+    assert (result.m, result.ground_set_size) == (cube.dimension, 2 * cube.dimension)
 
 
 @settings(max_examples=200, deadline=None)
