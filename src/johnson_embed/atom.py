@@ -9,7 +9,7 @@ from the packed rows; nothing here splits an edge.  On graphs passing the
 wallspace condition, two such edges share a class exactly when their
 scalar is 2, and the atom graph joins two classes exactly when
 representatives have scalar 1, a value independent of the chosen
-representatives.
+representatives, as the class keys make it (see atom_graph).
 """
 
 from __future__ import annotations
@@ -85,14 +85,18 @@ def theta1_classes(ws: WallSystem, d: DistanceMatrix, b: int) -> ThetaClasses:
     return ThetaClasses(b, tuple(map(tuple, groups.values())))
 
 
-def atom_graph(d: DistanceMatrix, classes: ThetaClasses, *,
-               paranoid: bool = False) -> Graph:
+def atom_graph(d: DistanceMatrix, classes: ThetaClasses) -> Graph:
     """Adjacency graph of the edge classes: classes joined iff scalar 1.
 
     Requires the wallspace condition; under it the scalar between
-    representatives of distinct classes is 0 or 1 and does not depend on the
-    representatives.  With paranoid=True every cross pair is recomputed and
-    any disagreement raises ConsistencyError.
+    representatives of distinct classes is 0 or 1, and any other value
+    raises ConsistencyError.  Which representatives are read does not
+    matter, by the class keys of theta1_classes: if f = (x, y) and
+    f' = (x', y') share a key P[x] - P[y], whose digits are the
+    d(x, w) - d(y, w), then d(x, w) - d(y, w) = d(x', w) - d(y', w) for
+    every w.  So scalar(e, f) = D_f(v) - D_f(u), for e = (u, v) and
+    D_f(w) = d(x, w) - d(y, w), depends on f only through its key, and by
+    symmetry on e only through its key.
 
     For representatives e = (u, v) and f = (x, y), with c = d.compare(u, v),
     scalar(e, f) is c[y] - c[x]: byte x of c is d(u, x) - d(v, x) + 1, and
@@ -111,17 +115,10 @@ def atom_graph(d: DistanceMatrix, classes: ThetaClasses, *,
         c = d.compare(u, v)
         values = [*map(sub, itemgetter(0, *heads[i + 2:])(c),
                        itemgetter(0, *tails[i + 2:])(c))][1:]
-        if paranoid or not {0, 1}.issuperset(values):
+        if not {0, 1}.issuperset(values):
             for j, value in enumerate(values, i + 1):
                 if value not in (0, 1):
                     raise ConsistencyError(
                         f"classes {i} and {j} have representative scalar {value}")
-                if paranoid:
-                    for e in classes.classes[i]:
-                        for f in classes.classes[j]:
-                            if scalar(d, e, f) != value:
-                                raise ConsistencyError(
-                                    f"scalar of {e}, {f} disagrees with class "
-                                    f"representatives of {i}, {j}")
         edges += zip(repeat(i), compress(range(i + 1, k), values))
     return Graph(k, edges, require_connected=False)

@@ -102,8 +102,6 @@ def _embed_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--basepoint", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--paranoid", action="store_true",
-                   help="recheck class adjacency against every representative pair")
     p.add_argument("--walls", action="store_true",
                    help="also print the deduplicated wall system")
     p.set_defaults(func=cmd_embed)
@@ -278,7 +276,7 @@ def _dot(g: Graph, name: str, annotations: dict[int, str] | None = None) -> str:
 
 def cmd_embed(args) -> int:
     g = _load(args.graph)
-    run = run_pipeline(g, args.basepoint, paranoid=args.paranoid)
+    run = run_pipeline(g, args.basepoint)
     result = run.result
     if isinstance(result, Embedding):
         payload, code = {"result": "yes", **_doc(result)}, 0

@@ -2,9 +2,11 @@
 
 The Johnson pipeline gates on the wallspace condition, groups vertical
 edges into classes, rebuilds the bipartite root of the atom graph, and
-propagates vertex labels down a BFS tree: the root's b side becomes the
-basepoint's label, and each tree edge swaps its class's b-element for its
-a-element.  Every produced labeling is re-verified against the full
+propagates vertex labels along the one structural walk, graphs._bfs from
+the basepoint: the root's b side becomes the basepoint's label, and each
+tree edge swaps its class's b-element for its a-element.  Any tree of
+vertical edges gives the same labels, because every edge of a class swaps
+that class's pair.  Every produced labeling is re-verified against the full
 distance matrix before being returned; a verification failure is reported
 as an INTERNAL certificate and indicates a bug, never a property of the
 input.
@@ -139,7 +141,7 @@ def bfs_tree(g: Graph, b: int) -> tuple[int | None, ...]:
     return tuple(parents)
 
 
-def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun:
+def run_pipeline(g: Graph, b: int = 0) -> PipelineRun:
     """Run the full Johnson embedding pipeline from basepoint b."""
     if not 0 <= b < g.n:
         raise ValueError(f"basepoint {b} out of range")
@@ -148,7 +150,7 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     if isinstance(wc, WcCertificate):
         return PipelineRun(basepoint=b, wc_certificate=wc)
     classes = theta1_classes(wc, d, b)
-    sigma = atom_graph(d, classes, paranoid=paranoid)
+    sigma = atom_graph(d, classes)
     root = bipartite_root(sigma)
     if isinstance(root, RootCertificate):
         return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
@@ -162,22 +164,19 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
     edge_class = {
         e: idx for idx, cls in enumerate(classes.classes) for e in cls
     }
-    parent = bfs_tree(g, b)
+    parent = [-1] * g.n
+    order = _bfs(g.neighbors, b, parent)
     labels: list[frozenset[int] | None] = [None] * g.n
     labels[b] = frozenset(range(m))
     # masks[v] is labels[v] as an int, bit e set for element e.
     masks = [0] * g.n
     masks[b] = (1 << m) - 1
     internal: InternalWitness | None = None
-    db = d[b]
-    for v in sorted(range(g.n), key=db.__getitem__):
-        if v == b:
-            continue
+    # A BFS parent is one step nearer b, so (parent, child) is a vertical
+    # edge in its class's orientation.
+    for v in order[1:]:
         u = parent[v]
-        lam = edge_class.get((u, v))
-        if lam is None:
-            internal = InternalWitness("tree edge missing from the vertical classes", (u, v))
-            break
+        lam = edge_class[u, v]
         i, j = assignment.pairs[lam]
         lu = labels[u]
         if i not in lu or j in lu:
@@ -203,10 +202,9 @@ def run_pipeline(g: Graph, b: int = 0, *, paranoid: bool = False) -> PipelineRun
                        embedding=embedding)
 
 
-def build_embedding(g: Graph, b: int = 0, *, paranoid: bool = False
-                    ) -> "Embedding | RejectionCertificate":
+def build_embedding(g: Graph, b: int = 0) -> "Embedding | RejectionCertificate":
     """Decide Johnson embeddability: a verified Embedding or a certificate."""
-    return run_pipeline(g, b, paranoid=paranoid).result
+    return run_pipeline(g, b).result
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ Two BFS loops live here.  _bfs_row computes a distance row level by level
 and serves only the matrix, whose row 0 is the connectivity check.  _bfs is
 the one structural traversal: it lists the vertices reached from a root in
 discovery order and records each one's BFS parent, and induced components,
-2-colouring, the root graph's colour classes (rootgraph) and the oracle's
-vertex order all go through it.  _bfs_row stays separate because it is the
-hot loop, and routing it through _bfs costs a parent list and a second pass
-for the depths: on the random-reject benchmark corpus's rows that measured
+2-colouring, the root graph's colour classes (rootgraph), the oracle's
+vertex order, and the labelling walk and the row check (embedder) all go
+through it.  _bfs_row stays separate because it is the hot loop, and
+routing it through _bfs costs a parent list and a second pass for the
+depths: on the random-reject benchmark corpus's rows that measured
 3-11% slower (best of several runs on a shared 2-core Xeon).
 
 Graphs read from user input must be connected.  Internally constructed

@@ -1,16 +1,31 @@
 """Slow reference implementations used only to cross-check test expectations,
-a random connected graph builder for Hypothesis strategies, and a reader of
-every row of a distance matrix."""
+a random connected graph builder for Hypothesis strategies, a strategy for
+graphs that pass the wallspace condition, and a reader of every row of a
+distance matrix."""
 
 import random
 from itertools import combinations
 from math import comb
 
-from johnson_embed import Graph
+from hypothesis import assume, strategies as st
+
+from johnson_embed import (
+    Graph,
+    WcCertificate,
+    check_wc,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
+    johnson_graph,
+    path_graph,
+    random_connected_graph,
+)
 from johnson_embed.atom import ThetaClasses
 from johnson_embed.graphs import _bfs
 from johnson_embed.oracle import OracleResult
 from johnson_embed.walls import splits
+
+from conftest import named_corpus
 
 
 def all_rows(d) -> tuple[tuple[int, ...], ...]:
@@ -40,6 +55,31 @@ def reference_theta1_classes(g: Graph, b: int) -> ThetaClasses:
         ew = splits(g, (t, h))
         groups.setdefault((ew.w_uv, ew.w_vu), []).append((t, h))
     return ThetaClasses(b, tuple(sorted(tuple(sorted(m)) for m in groups.values())))
+
+
+# Factors of at most 6 vertices, so a product with K2 has at most 12.
+K2_FACTORS = [path_graph(2), path_graph(3), cycle_graph(4), cycle_graph(5),
+              cycle_graph(6), complete_graph(3), complete_graph(4),
+              hypercube_graph(2), johnson_graph(2, 4)]
+
+
+@st.composite
+def wc_graph(draw, max_n=12):
+    """A connected graph of at most max_n vertices that passes the wallspace
+    condition, with its WallSystem: random, a named-corpus member, or a
+    product with K2, whose classes have several edges."""
+    kind = draw(st.sampled_from(["random", "family", "product"]))
+    if kind == "random":
+        n, p = draw(st.integers(1, max_n)), draw(st.sampled_from([0.2, 0.3, 0.5, 0.7]))
+        g = random_connected_graph(n, p, seed=draw(st.integers(0, 2**32 - 1)))
+    elif kind == "family":
+        g = draw(st.sampled_from([h for _, h in named_corpus() if h.n <= max_n]))
+    else:
+        factors = [h for h in K2_FACTORS if 2 * h.n <= max_n]
+        g = cartesian_product(path_graph(2), draw(st.sampled_from(factors)))
+    ws = check_wc(g)
+    assume(not isinstance(ws, WcCertificate))
+    return g, ws
 
 
 def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:

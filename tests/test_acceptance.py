@@ -176,7 +176,7 @@ def test_criterion_5_structural_claims(corpus_decisions):
             if not isinstance(result, Embedding):
                 continue
             d = g.distances()
-            run = run_pipeline(g, 0, paranoid=True)
+            run = run_pipeline(g, 0)
             emb = run.embedding
             assert emb is not None, name
             classes = run.classes

@@ -84,8 +84,16 @@ def test_embed_basepoint_and_walls(c5, capsys):
         assert wall["multiplicity"] == 1
 
 
-def test_embed_paranoid(c5):
-    assert main(["embed", c5, "--paranoid"]) == 0
+def test_embed_paranoid(c5, capsys):
+    # The flag is gone: a script that still passes it gets a usage error,
+    # never a "no".
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", c5, "--paranoid"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --paranoid" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_embed_bad_basepoint(c5, capsys):
@@ -338,7 +346,7 @@ def test_gen_random_too_large_is_a_usage_error(capsys):
 
 # One valid argv per subcommand, every option of it set.
 VALID_ARGV = {
-    "embed": ["embed", "g.txt", "--basepoint", "1", "--json", "--paranoid", "--walls"],
+    "embed": ["embed", "g.txt", "--basepoint", "1", "--json", "--walls"],
     "check": ["check", "pc", "g.txt", "--basepoint", "2", "--json", "--all",
               "--all-squares", "--dot"],
     "atom-graph": ["atom-graph", "g.txt", "--basepoint", "1", "--json", "--dot"],

@@ -35,7 +35,7 @@ from johnson_embed.embedder import (
 from johnson_embed.graphs import _bfs_row, distance_matrix
 from johnson_embed.matroid import check_ic, check_pc, is_basis_graph
 
-from helpers import cartesian_product
+from helpers import cartesian_product, wc_graph
 
 
 def assert_isometric(g, emb):
@@ -167,6 +167,35 @@ def test_label_pairs_follow_tree_edges():
         added = emb.labels[v] - emb.labels[u]
         assert len(dropped) == 1 and len(added) == 1
         assert max(dropped) < emb.m <= max(added)
+
+
+def assert_every_vertical_edge_swaps_its_pair(g, b):
+    """On acceptance, each vertical edge (t, h) of class lam takes labels[t]
+    to labels[h] by the swap pairs[lam]: the tree the labels were
+    propagated along does not matter."""
+    run = run_pipeline(g, b)
+    assert run.internal is None, (b, run.internal)
+    if run.embedding is None:
+        return
+    labels = run.embedding.labels
+    for lam, members in enumerate(run.classes.classes):
+        i, j = run.assignment.pairs[lam]
+        for t, h in members:
+            assert labels[h] == labels[t] - {i} | {j}, (b, t, h)
+
+
+def test_labels_do_not_depend_on_the_tree(corpus):
+    for _, g in corpus:
+        for b in range(g.n):
+            assert_every_vertical_edge_swaps_its_pair(g, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wc_graph(max_n=10))
+def test_labels_do_not_depend_on_the_tree_on_random_graphs(case):
+    g, _ = case
+    for b in range(g.n):
+        assert_every_vertical_edge_swaps_its_pair(g, b)
 
 
 def test_verify_embedding_detects_bad_labels():

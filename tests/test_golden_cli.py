@@ -2,7 +2,7 @@
 
 For each graph of the named corpus, the first 60 random graphs and a few
 graphs that reach the rarer certificates, the digest covers (argv, exit
-code, stdout) of embed (plain, --walls, and --basepoint 1 --paranoid), check
+code, stdout) of embed (plain, --walls, and --basepoint 1), check
 wc (plain and --all), check agc (plain and --dot), check ic, check pc (plain
 and --all-squares), check lc, atom-graph, oracle --max-ground 6, verify (the
 pipeline's labels when it accepts, singleton labels always), basis-graph and
@@ -31,7 +31,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 COMMANDS = (
     ["embed", "g.txt"],
     ["embed", "g.txt", "--walls"],
-    ["embed", "g.txt", "--basepoint", "1", "--paranoid"],
+    ["embed", "g.txt", "--basepoint", "1"],
     ["check", "wc", "g.txt"],
     ["check", "wc", "g.txt", "--all"],
     ["check", "agc", "g.txt"],
