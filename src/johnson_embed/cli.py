@@ -253,7 +253,7 @@ def _rejection(rc: RejectionCertificate, run: PipelineRun) -> tuple[dict, str]:
         return payload, f"not embeddable (wallspace condition): {_wc_human(cert)}"
     if isinstance(cert, RootCertificate):
         payload["basepoint"] = run.basepoint
-        if cert.kind == ODD_CYCLE_IN_ROOT and run.sigma is not None:
+        if cert.kind == ODD_CYCLE_IN_ROOT:
             # The deterministic reconstruction lets the cycle be rechecked.
             payload["class_count"] = run.sigma.n
         return payload, f"not embeddable (atom graph condition): {_root_human(cert)}"
@@ -328,16 +328,17 @@ def cmd_check_wc_pass(args, system: WallSystem) -> int:
 
 def _check_agc(args, g: Graph) -> int:
     run = run_pipeline(g, args.basepoint)
-    if run.wc_certificate is not None:
-        _emit(args,
-              {"result": "fail", "condition": "wc", **_doc(run.wc_certificate)},
-              "wc fail (agc needs it): " + _wc_human(run.wc_certificate))
+    # An Embedding has no payload; an INTERNAL witness means agc passed.
+    cert = getattr(run.result, "payload", None)
+    if isinstance(cert, WcCertificate):
+        _emit(args, {"result": "fail", "condition": "wc", **_doc(cert)},
+              "wc fail (agc needs it): " + _wc_human(cert))
         return 1
-    if run.root_certificate is not None:
+    if isinstance(cert, RootCertificate):
         _emit(args,
               {"result": "fail", "condition": "agc", "basepoint": run.basepoint,
-               **_doc(run.root_certificate)},
-              "agc fail: " + _root_human(run.root_certificate))
+               **_doc(cert)},
+              "agc fail: " + _root_human(cert))
         return 1
     root = run.root
     payload = {
@@ -376,7 +377,7 @@ def _emit_condition(args, report: ConditionReport) -> int:
 def cmd_atom_graph(args) -> int:
     g = _load(args.graph)
     run = run_pipeline(g, args.basepoint)
-    if run.wc_certificate is not None:
+    if isinstance(getattr(run.result, "payload", None), WcCertificate):
         _emit(args, *_rejection(run.result, run))
         return 1
     sigma = run.sigma
@@ -438,7 +439,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load(args.graph)
-    labels = parse_labels(Path(args.labels).read_text(encoding="utf-8"))
+    # utf-8-sig drops a byte-order mark at the start, as parse_graph does.
+    labels = parse_labels(Path(args.labels).read_text(encoding="utf-8-sig"))
     if len(labels) != g.n:
         raise ValueError(f"expected {g.n} label lines, got {len(labels)}")
     verdict = verify_embedding(g.distances(), labels)
@@ -453,7 +455,8 @@ def cmd_verify(args) -> int:
 
 
 def parse_labels(text: str) -> list[frozenset[int]]:
-    """One label per significant line: space-separated ints, or '-' for empty."""
+    """One label per significant line: space-separated ints, each at most
+    once, or '-' for empty."""
     labels = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -463,9 +466,13 @@ def parse_labels(text: str) -> list[frozenset[int]]:
             labels.append(frozenset())
             continue
         try:
-            labels.append(frozenset(int(tok) for tok in line.split()))
+            label = [int(tok) for tok in line.split()]
         except ValueError:
             raise ValueError(f"labels line {lineno}: not integers: {line!r}") from None
+        labels.append(frozenset(label))
+        if len(labels[-1]) < len(label):
+            repeated = next(e for k, e in enumerate(label) if e in label[:k])
+            raise ValueError(f"labels line {lineno}: repeated element {repeated}")
     return labels
 
 

@@ -9,7 +9,9 @@ vertical edges gives the same labels, because every edge of a class swaps
 that class's pair.  Every produced labeling is re-verified against the full
 distance matrix before being returned; a verification failure is reported
 as an INTERNAL certificate and indicates a bug, never a property of the
-input.
+input.  run_pipeline decides in one place: its PipelineRun stores the one
+result, an Embedding or the RejectionCertificate of the stage that
+rejected (WC, AGC or INTERNAL), beside the stage outputs that led to it.
 
 The verifier checks intersection rows, one big-int step per vertex.  For
 labels of m elements each, |L_x ^ L_y| = 2 d(x, y) is m - |L_x & L_y| =
@@ -98,29 +100,20 @@ class RejectionCertificate:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """Everything one pipeline invocation produced, for diagnostics and tests."""
+    """One pipeline invocation: its decision and the stage outputs behind it.
+
+    result is the decision build_embedding returns, stored once.  A stage
+    reached only after a rejection stays None: a WC rejection sets no stage
+    output, and an AGC rejection sets wall_system, classes and sigma.
+    """
 
     basepoint: int
+    result: "Embedding | RejectionCertificate"
     wall_system: WallSystem | None = None
-    wc_certificate: WcCertificate | None = None
     classes: ThetaClasses | None = None
     sigma: Graph | None = None
     root: BipartiteRoot | None = None
-    root_certificate: RootCertificate | None = None
     assignment: LabelAssignment | None = None
-    embedding: Embedding | None = None
-    internal: InternalWitness | None = None
-
-    @property
-    def result(self) -> "Embedding | RejectionCertificate":
-        if self.wc_certificate is not None:
-            return RejectionCertificate(WC, self.wc_certificate)
-        if self.root_certificate is not None:
-            return RejectionCertificate(AGC, self.root_certificate)
-        if self.internal is not None:
-            return RejectionCertificate(INTERNAL, self.internal)
-        assert self.embedding is not None
-        return self.embedding
 
 
 def bfs_tree(g: Graph, b: int) -> tuple[int | None, ...]:
@@ -148,13 +141,12 @@ def run_pipeline(g: Graph, b: int = 0) -> PipelineRun:
     d = g.distances()
     wc = check_wc(g)
     if isinstance(wc, WcCertificate):
-        return PipelineRun(basepoint=b, wc_certificate=wc)
+        return PipelineRun(b, RejectionCertificate(WC, wc))
     classes = theta1_classes(wc, d, b)
     sigma = atom_graph(d, classes)
     root = bipartite_root(sigma)
     if isinstance(root, RootCertificate):
-        return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
-                           sigma=sigma, root_certificate=root)
+        return PipelineRun(b, RejectionCertificate(AGC, root), wc, classes, sigma)
     # Elements numbered b side first; bipartite_root sorts both sides.
     dense = {rid: i for i, rid in enumerate(root.b_side + root.a_side)}
     assignment = LabelAssignment(
@@ -171,7 +163,6 @@ def run_pipeline(g: Graph, b: int = 0) -> PipelineRun:
     # masks[v] is labels[v] as an int, bit e set for element e.
     masks = [0] * g.n
     masks[b] = (1 << m) - 1
-    internal: InternalWitness | None = None
     # A BFS parent is one step nearer b, so (parent, child) is a vertical
     # edge in its class's orientation.
     for v in order[1:]:
@@ -180,26 +171,21 @@ def run_pipeline(g: Graph, b: int = 0) -> PipelineRun:
         i, j = assignment.pairs[lam]
         lu = labels[u]
         if i not in lu or j in lu:
-            internal = InternalWitness(
+            result = RejectionCertificate(INTERNAL, InternalWitness(
                 "class label pair does not apply to the parent label",
-                (u, v, lam, i, j, tuple(sorted(lu))))
+                (u, v, lam, i, j, tuple(sorted(lu)))))
             break
         labels[v] = (lu - {i}) | {j}
         masks[v] = masks[u] ^ 1 << i ^ 1 << j
-    if internal is None:
+    else:
         verdict = _verify_masks(d, masks)
-        if verdict is not True:
-            internal = InternalWitness(
+        if verdict is True:
+            result = Embedding(m, ground, b, tuple(labels))
+        else:
+            result = RejectionCertificate(INTERNAL, InternalWitness(
                 "constructed labeling failed isometry verification",
-                (verdict.x, verdict.y, verdict.sym_diff, verdict.expected))
-    if internal is not None:
-        return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
-                           sigma=sigma, root=root, assignment=assignment,
-                           internal=internal)
-    embedding = Embedding(m, ground, b, tuple(labels))
-    return PipelineRun(basepoint=b, wall_system=wc, classes=classes,
-                       sigma=sigma, root=root, assignment=assignment,
-                       embedding=embedding)
+                (verdict.x, verdict.y, verdict.sym_diff, verdict.expected)))
+    return PipelineRun(b, result, wc, classes, sigma, root, assignment)
 
 
 def build_embedding(g: Graph, b: int = 0) -> "Embedding | RejectionCertificate":

@@ -261,11 +261,13 @@ def parse_graph(data: bytes | str) -> Graph:
     Format: UTF-8 text; '#' starts a comment; blank lines are ignored.  The
     first significant line is the vertex count n, every following line is an
     edge 'u v' with 0-based endpoints.  Self-loops, duplicate edges, and
-    disconnected graphs are rejected, by Graph's checks.
+    disconnected graphs are rejected, by Graph's checks.  Bytes may start
+    with a UTF-8 byte-order mark, which is dropped; one anywhere else, or in
+    str input, is an error.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     else:

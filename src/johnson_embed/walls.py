@@ -22,8 +22,7 @@ row u as one int P[u] whose base-256**width digit x is d(u, x).  For an
 edge uv, P[u] - P[v] has the digits d(u, x) - d(v, x), each -1, 0 or 1, and
 its absolute value is the split's key (see splits); w_sets reads the three
 sides from those digits as bytes (DistanceMatrix.compare); and the Θ class
-test compares packed differences.  Each is a big-int operation where a
-tuple per edge was built and hashed before.
+test compares packed differences.  Each is a big-int operation.
 
 A split with no equidistant vertex, which every split of a bipartite graph
 is, is decided by its crossing edges, those yz with y in W_uv and z in W_vu
@@ -36,8 +35,8 @@ put z on a shortest x-y path, against the convexity of W_uv.  The scan
 therefore compares each crossing edge's packed difference P[y] - P[z] with
 the split's own before any convexity test.  When all match, neither side
 goes through is_convex.  When one differs (outside bipartite graphs that can
-happen even when both sides are convex), the sides go through is_convex as
-before, so every certificate is the one is_convex gives.  Every other half
+happen even when both sides are convex), the sides go through is_convex,
+so every certificate is the one is_convex gives.  Every other half
 goes through is_convex, the one convexity routine, which reads the packed
 rows itself once the matrix holds every row.
 """

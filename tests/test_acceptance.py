@@ -177,8 +177,8 @@ def test_criterion_5_structural_claims(corpus_decisions):
                 continue
             d = g.distances()
             run = run_pipeline(g, 0)
-            emb = run.embedding
-            assert emb is not None, name
+            emb = run.result
+            assert isinstance(emb, Embedding), name
             classes = run.classes
 
             index = {}

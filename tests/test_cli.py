@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +286,52 @@ def test_parse_labels_empty_set_marker():
     assert labels == [frozenset(), frozenset({0}), frozenset({0, 1})]
     with pytest.raises(ValueError):
         parse_labels("0 x\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_byte_order_mark_starts_a_file_as_if_absent(c5, tmp_path, capsys, json_flag):
+    # Some editors write a UTF-8 byte-order mark at the start of a file.
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0 1\n1 3\n2 3\n2 4\n0 4\n", encoding="utf-8")
+    marked = {}
+    for name, path in (("graph", Path(c5)), ("labels", labels)):
+        marked[name] = tmp_path / f"marked-{path.name}"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for plain, with_mark in ((["embed", c5], ["embed", str(marked["graph"])]),
+                             (["verify", c5, str(labels)],
+                              ["verify", c5, str(marked["labels"])])):
+        assert main(plain + json_flag) == 0
+        want = capsys.readouterr()
+        assert main(with_mark + json_flag) == 0
+        assert capsys.readouterr() == want
+
+
+def test_byte_order_mark_after_the_start_is_an_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"2\n\xef\xbb\xbf0 1\n")
+    assert main(["embed", str(graph)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: vertex is not an integer: '\\ufeff0'\n")
+    graph.write_text("2\n0 1\n", encoding="utf-8")
+    labels = tmp_path / "labels.txt"
+    labels.write_bytes(b"0\n\xef\xbb\xbf1\n")
+    assert main(["verify", str(graph), str(labels)]) == 2
+    assert capsys.readouterr().err == (
+        "error: labels line 2: not integers: '\\ufeff1'\n")
+
+
+def test_repeated_label_element_is_refused(tmp_path, capsys):
+    # "0 0" is not a set; read as {0} it would pass as K2's label.
+    graph = tmp_path / "k2.txt"
+    graph.write_text("2\n0 1\n", encoding="utf-8")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0 0\n1\n", encoding="utf-8")
+    assert main(["verify", str(graph), str(labels)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: labels line 1: repeated element 0\n"
+    with pytest.raises(ValueError, match="labels line 3: repeated element 2"):
+        parse_labels("-\n\n1 2 3 2 1\n")
 
 
 def test_basis_graph_cli(k23, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 from collections import Counter
@@ -18,14 +19,17 @@ from johnson_embed import (
     cycle_graph,
     embed_hypercube,
     embedder,
+    graphs,
     hypercube_graph,
     johnson_graph,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     run_pipeline,
     verify_embedding,
     walls,
 )
+from johnson_embed.cli import format_edge_list, main
 from johnson_embed.embedder import (
     HypercubeCertificate,
     HypercubeEmbedding,
@@ -35,7 +39,7 @@ from johnson_embed.embedder import (
 from johnson_embed.graphs import _bfs_row, distance_matrix
 from johnson_embed.matroid import check_ic, check_pc, is_basis_graph
 
-from helpers import cartesian_product, wc_graph
+from helpers import cartesian_product, random_tree_plus_edges, wc_graph
 
 
 def assert_isometric(g, emb):
@@ -136,15 +140,13 @@ def test_basepoint_does_not_change_the_decision(corpus_decisions):
 
 def test_run_pipeline_exposes_stages():
     run = run_pipeline(cycle_graph(5))
-    assert run.wc_certificate is None
     assert run.wall_system is not None
     assert run.sigma.n == 4
     assert run.root.root.n == 5
-    assert run.internal is None
     assert isinstance(run.result, Embedding)
 
     run = run_pipeline(complete_bipartite_graph(2, 3))
-    assert run.wc_certificate is not None
+    assert run.result.stage == "WC"
     assert run.sigma is None
     assert isinstance(run.result, RejectionCertificate)
 
@@ -158,8 +160,8 @@ def test_run_pipeline_validates_basepoint():
 
 def test_label_pairs_follow_tree_edges():
     g = petersen_graph()
-    run = run_pipeline(g)
-    emb = run.embedding
+    emb = run_pipeline(g).result
+    assert isinstance(emb, Embedding)
     parents = bfs_tree(g, 0)
     for v in range(1, g.n):
         u = parents[v]
@@ -174,10 +176,10 @@ def assert_every_vertical_edge_swaps_its_pair(g, b):
     to labels[h] by the swap pairs[lam]: the tree the labels were
     propagated along does not matter."""
     run = run_pipeline(g, b)
-    assert run.internal is None, (b, run.internal)
-    if run.embedding is None:
+    assert getattr(run.result, "stage", None) != "INTERNAL", (b, run.result)
+    if not isinstance(run.result, Embedding):
         return
-    labels = run.embedding.labels
+    labels = run.result.labels
     for lam, members in enumerate(run.classes.classes):
         i, j = run.assignment.pairs[lam]
         for t, h in members:
@@ -573,12 +575,108 @@ def test_wrong_labelling_inside_the_pipeline_gets_the_pairwise_witness(monkeypat
     monkeypatch.setattr(embedder, "_verify_masks", recorded)
     run = run_pipeline(g)
     assert run.result.stage == "INTERNAL"
-    assert run.internal.reason == "constructed labeling failed isometry verification"
+    assert run.result.payload.reason == "constructed labeling failed isometry verification"
     [masks] = checked
     d = g.distances()
     assert embedder._rows_match(d, masks) is False
     x, y, diff = embedder._first_mismatch(d, masks)
-    assert run.internal.data == (x, y, diff, 2 * d[x][y])
+    assert run.result.payload.data == (x, y, diff, 2 * d[x][y])
+
+
+def _reverse_first_root_edge(monkeypatch):
+    """Make the pipeline's root give class 0 its pair reversed, a-end first,
+    and record every _verify_masks call."""
+    original_root = embedder.bipartite_root
+
+    def reversed_first(sigma):
+        root = original_root(sigma)
+        pairs = list(root.vertex_to_edge)
+        pairs[0] = pairs[0][::-1]
+        return dataclasses.replace(root, vertex_to_edge=tuple(pairs))
+
+    verified = []
+    original_verify = embedder._verify_masks
+
+    def recorded(d, masks):
+        verified.append(masks)
+        return original_verify(d, masks)
+
+    monkeypatch.setattr(embedder, "bipartite_root", reversed_first)
+    monkeypatch.setattr(embedder, "_verify_masks", recorded)
+    return verified
+
+
+@pytest.mark.parametrize("make, data", [
+    (lambda: cycle_graph(5), (0, 1, 0, 3, 0, (0, 1))),
+    (petersen_graph, (0, 5, 0, 3, 0, (0, 1, 2))),
+    (lambda: johnson_graph(2, 5), (0, 1, 0, 2, 0, (0, 1))),
+], ids=["C5", "Petersen", "J(2,5)"])
+def test_pair_that_does_not_apply_stops_at_its_first_tree_edge(monkeypatch, make, data):
+    # Class 0's reversed pair drops an element the parent label lacks, so the
+    # walk stops at the first tree edge of class 0, before any verification.
+    g = make()
+    labels = build_embedding(g).labels
+    verified = _reverse_first_root_edge(monkeypatch)
+    run = run_pipeline(g)
+    assert run.result.stage == "INTERNAL"
+    witness = run.result.payload
+    assert witness.reason == "class label pair does not apply to the parent label"
+    assert witness.data == data
+    u, v, lam, i, j, parent_label = data
+    assert (lam, (i, j)) == (0, run.assignment.pairs[0])
+    parent = [-1] * g.n
+    order = graphs._bfs(g.neighbors, 0, parent)
+    first = next(w for w in order[1:] if (parent[w], w) in run.classes.classes[0])
+    assert (u, v) == (parent[first], first)
+    assert parent_label == tuple(sorted(labels[u]))
+    assert verified == []
+    assert build_embedding(g) == run.result
+
+
+def test_pair_that_does_not_apply_is_an_error_in_the_cli(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text(format_edge_list(cycle_graph(5)), encoding="utf-8")
+    _reverse_first_root_edge(monkeypatch)
+    assert main(["embed", str(path), "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["result"], doc["stage"]) == ("error", "INTERNAL")
+    assert doc["data"] == [0, 1, 0, 3, 0, [0, 1]]
+
+
+# Random graphs that the AGC stage rejects, by a diamond and by an odd cycle.
+AGC_REJECTED = [random_connected_graph(8, 0.6, seed=57),
+                random_connected_graph(8, 0.5, seed=4)]
+
+
+def assert_run_holds_one_decision(g, b):
+    """run.result is the stored decision build_embedding returns, and the
+    stages after the one that rejected left no output."""
+    run = run_pipeline(g, b)
+    assert run.result is run.result
+    assert run.result == build_embedding(g, b)
+    stages = (run.wall_system, run.classes, run.sigma, run.root, run.assignment)
+    stage = getattr(run.result, "stage", None)
+    if stage == "WC":
+        assert stages == (None,) * 5
+    elif stage == "AGC":
+        assert None not in stages[:3] and stages[3:] == (None, None)
+    else:
+        assert None not in stages
+    return stage
+
+
+def test_run_holds_one_decision(corpus):
+    stages = {assert_run_holds_one_decision(g, b)
+              for g in [h for _, h in corpus] + AGC_REJECTED for b in range(g.n)}
+    assert stages == {None, "WC", "AGC"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.sampled_from([0.2, 0.4, 0.6]), st.integers(0, 2**32 - 1))
+def test_run_holds_one_decision_on_random_graphs(n, p, seed):
+    g = random_tree_plus_edges(n, p, seed)
+    for b in range(g.n):
+        assert_run_holds_one_decision(g, b)
 
 
 @pytest.mark.parametrize("labels", [[(), ()], [(0,), (0,)], [(0, 1), (1, 0)]],

@@ -152,6 +152,16 @@ def test_parse_graph_round_trip():
     assert parse_graph(b"1\n").n == 1
 
 
+def test_parse_graph_drops_only_a_leading_byte_order_mark():
+    bom = "\ufeff"
+    assert parse_graph((bom + "2\n0 1\n").encode()).edges == ((0, 1),)
+    with pytest.raises(ParseError, match="line 2: vertex is not an integer"):
+        parse_graph(("2\n" + bom + "0 1\n").encode())
+    # A str has been decoded already; a mark in it is a character like any other.
+    with pytest.raises(ParseError, match="line 1: vertex count is not an integer"):
+        parse_graph(bom + "2\n0 1\n")
+
+
 def test_parse_graph_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1"):
         parse_graph("x\n")
