@@ -8,10 +8,10 @@ from the human rendering to a stable JSON document on stdout.
 
 Each call parses with the own parser of the subcommand its first argument
 names, the one the full parser would hand the remaining arguments to.  That
-parser is built once per process for each subcommand and terminal width, so a
-later call reads the width and parses.  With no argument, -h, an unknown
-subcommand or an unrecognized argument it builds the full parser, so usage
-lines and errors are always those of the full parser.
+parser is built once per process for each subcommand, so a later call only
+parses.  With no argument, -h, an unknown subcommand or an unrecognized
+argument it builds the full parser, so usage lines and errors are always those
+of the full parser.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -53,8 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = None
     if argv and argv[0] in _SUBCOMMANDS:
-        width = shutil.get_terminal_size().columns - 2
-        args, extra = _command_parser(argv[0], width).parse_known_args(argv[1:])
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
         if extra:
             # The command's usage line names one subcommand; let the full
             # parser report the unrecognized arguments.
@@ -84,16 +82,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _command_parser(name: str, width: int) -> argparse.ArgumentParser:
+def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser `_parser()` gives subcommand `name`, built once and kept.
 
-    argparse makes a HelpFormatter for every argument it adds and for every
-    usage line or help it prints, and each would read the terminal size; here
-    they all get `width`, the terminal's columns less 2 as argparse takes it.
+    Parsing valid arguments formats nothing.  argparse makes a new default
+    HelpFormatter for every usage line, help or error it prints, and that
+    formatter reads the terminal width then, so a kept parser wraps at the
+    width of the call that prints, as the full parser does.
     """
-    parser = argparse.ArgumentParser(
-        prog=f"johnson-embed {name}",
-        formatter_class=functools.partial(argparse.HelpFormatter, width=width))
+    parser = argparse.ArgumentParser(prog=f"johnson-embed {name}")
     _SUBCOMMANDS[name][1](parser)
     return parser
 
@@ -180,7 +177,9 @@ _SUBCOMMANDS = {
 
 
 def _load(path: str) -> Graph:
-    return parse_graph(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        data = f.read()
+    return parse_graph(data)
 
 
 def _emit(args, payload: dict, human: str) -> None:

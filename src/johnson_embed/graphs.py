@@ -41,7 +41,7 @@ may be disconnected and opt out of the connectivity requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter, length_hint, lt
 from struct import Struct
 
@@ -276,10 +276,9 @@ def parse_graph(data: bytes | str) -> Graph:
     edges: list[tuple[int, int]] = []
     lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if n is None:
             if len(parts) != 1:
                 raise ParseError("expected a single vertex count", lineno)
@@ -493,14 +492,14 @@ def is_bipartite(g: Graph) -> "TwoColoring | OddCycleWitness":
         comp = _bfs(g.neighbors, root, parent)
         for w in comp[1:]:
             depth[w] = depth[parent[w]] + 1
-        conflicts = sorted(
-            (depth[u], u, v)
-            for u in comp
-            for v in g.neighbors[u]
-            if u < v and depth[u] == depth[v]
-        )
-        if conflicts:
-            _, u, v = conflicts[0]
+        conflict = min(
+            ((depth[u], u, v)
+             for u in comp
+             for v in g.neighbors[u]
+             if u < v and depth[u] == depth[v]),
+            default=None)
+        if conflict is not None:
+            _, u, v = conflict
             return OddCycleWitness(_tree_cycle(parent, u, v))
         for v in comp:
             colors[v] = depth[v] % 2
@@ -556,9 +555,7 @@ def induced_subgraph(g: Graph, verts) -> tuple[Graph, tuple[int, ...]]:
     """
     order = sorted(set(verts))
     index = {v: i for i, v in enumerate(order)}
-    edges = [
-        (index[u], index[v])
-        for u, v in combinations(order, 2)
-        if g.has_edge(u, v)
-    ]
+    # Neighbour lists are sorted, so the edges come in lexicographic order.
+    edges = [(i, index[w]) for i, v in enumerate(order)
+             for w in g.neighbors[v] if w > v and w in index]
     return Graph(len(order), edges, require_connected=False), tuple(order)

@@ -18,7 +18,6 @@ from .graphs import (
     SQUARE,
     induced_is_pattern,
     induced_subgraph,
-    interval,
 )
 from .rootgraph import RootCertificate, bipartite_root
 from .walls import WallSystem, WcCertificate, check_wc
@@ -62,17 +61,27 @@ class ConditionReport:
 
 
 def check_ic(g: Graph) -> ConditionReport:
-    """Every distance-2 interval must induce a square, pyramid, or octahedron."""
-    d = g.distances()
+    """Every distance-2 interval must induce a square, pyramid, or octahedron.
+
+    The interval of a pair u, v at distance 2 is I(u, v) = {u, v} together
+    with N(u) & N(v), and the vertices at distance 2 from u are the
+    neighbours of its neighbours outside N(u) and other than u, so the
+    condition is read from the neighbour lists: no distance row is read
+    beyond row 0, which the graph's distance matrix holds to check it
+    connected.  Pairs are visited u ascending, then v > u ascending, and the
+    witness is the first pair that fails, its interval sorted.
+    """
+    g.distances()  # raises GraphError if g is disconnected
     by_size = {4: SQUARE, 5: PYRAMID, 6: OCTAHEDRON}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if d[u][v] != 2:
-                continue
-            iv = interval(d, u, v)
+    neighbors = g.neighbors
+    for u, nb in enumerate(neighbors):
+        near_u = frozenset(nb)
+        second = {v for w in nb for v in neighbors[w] if v > u}
+        for v in sorted(second - near_u):
+            iv = near_u.intersection(neighbors[v]) | {u, v}
             pattern = by_size.get(len(iv))
             if pattern is None or not induced_is_pattern(g, iv, pattern):
-                return ConditionReport("IC", False, IcWitness(u, v, iv))
+                return ConditionReport("IC", False, IcWitness(u, v, tuple(sorted(iv))))
     return ConditionReport("IC", True)
 
 
@@ -97,14 +106,26 @@ def squares(g: Graph, *, induced_only: bool = True):
 
 
 def check_pc(g: Graph, *, induced_only: bool = True) -> ConditionReport:
-    """Opposite corners of every square must have equal distance sums to every vertex."""
+    """Opposite corners of every square must have equal distance sums to every vertex.
+
+    For a square u1 u2 u3 u4, d(b, u1) + d(b, u3) = d(b, u2) + d(b, u4) for
+    every b exactly when the packed rows (DistanceMatrix.packed) satisfy
+    P[u1] - P[u2] = P[u4] - P[u3].  Both sides are differences of adjacent
+    rows, with digits in {-1, 0, 1}, so equal ints mean equal digits (as in
+    walls.splits): PC says that opposite edges of every square have the
+    same oriented split, i.e. they are Θ-related.  Each square costs one
+    comparison; the witness b, the smallest vertex whose sums differ, is
+    looked for only in a square that fails.
+    """
     d = g.distances()
+    packed = d.packed
     for sq in squares(g, induced_only=induced_only):
-        # Distances are symmetric: the corners' rows give every d(b, corner).
-        r1, r2, r3, r4 = (d[u] for u in sq)
-        for b in range(g.n):
-            if r1[b] + r3[b] != r2[b] + r4[b]:
-                return ConditionReport("PC", False, PcWitness(b, sq))
+        u1, u2, u3, u4 = sq
+        if packed(u1) - packed(u2) != packed(u4) - packed(u3):
+            # Distances are symmetric: the corners' rows give every d(b, corner).
+            r1, r2, r3, r4 = (d[u] for u in sq)
+            b = next(b for b in range(g.n) if r1[b] + r3[b] != r2[b] + r4[b])
+            return ConditionReport("PC", False, PcWitness(b, sq))
     return ConditionReport("PC", True)
 
 

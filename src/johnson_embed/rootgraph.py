@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
+from operator import not_
 
-from .graphs import ConsistencyError, Graph, OddCycleWitness, _bfs, is_bipartite
+from .graphs import ConsistencyError, Graph, _bfs, is_bipartite
 
 CLAW = "CLAW"
 DIAMOND = "DIAMOND"
@@ -136,8 +137,12 @@ class BipartiteRoot:
 def bipartite_root(g: Graph) -> BipartiteRoot | RootCertificate:
     """Reconstruct the bipartite root of g, or certify that none exists.
 
-    Per root component the smaller color class joins the b side, ties going
-    to the class of the component's smallest root vertex.
+    One BFS walk per root component, from its smallest vertex, colours it
+    by depth parity, the 2-colouring graphs.is_bipartite gives.  The root is
+    bipartite exactly when no root edge joins two vertices of one depth;
+    then per component the smaller color class joins the b side, ties going
+    to the class of the component's smallest root vertex.  Otherwise
+    is_bipartite, called only then, names the odd cycle.
     """
     kp = krausz_partition(g)
     if isinstance(kp, RootCertificate):
@@ -156,15 +161,28 @@ def bipartite_root(g: Graph) -> BipartiteRoot | RootCertificate:
             next_id += 2
     root = Graph(next_id, raw_edges, require_connected=False)
     _verify_line_graph(g, raw_edges)
-    coloring = is_bipartite(root)
-    if isinstance(coloring, OddCycleWitness):
-        return RootCertificate(ODD_CYCLE_IN_ROOT, cycle=coloring.cycle)
-    b_side = _pick_b_side(root, coloring.colors)
-    a_side = tuple(r for r in range(root.n) if r not in b_side)
-    oriented = tuple(
-        (i, j) if i in b_side else (j, i) for i, j in raw_edges
-    )
-    return BipartiteRoot(a_side, tuple(sorted(b_side)), oriented, root)
+    parent = [-1] * root.n
+    # 1 on the b side.  Each component is coloured by BFS depth parity from
+    # its smallest vertex r, which gets 0, and flipped unless its 1s are
+    # fewer than half of it, so ties pick r's class.
+    b = [0] * root.n
+    for r in range(root.n):
+        if parent[r] >= 0:
+            continue
+        comp = _bfs(root.neighbors, r, parent)
+        for w in comp[1:]:
+            b[w] = 1 - b[parent[w]]
+        if 2 * sum(map(b.__getitem__, comp)) >= len(comp):
+            for w in comp:
+                b[w] = 1 - b[w]
+    # BFS puts the ends of every edge at equal or consecutive depths, so an
+    # edge within one colour class is an edge within one depth.
+    if any(b[i] == b[j] for i, j in raw_edges):
+        return RootCertificate(ODD_CYCLE_IN_ROOT, cycle=is_bipartite(root).cycle)
+    b_side = tuple(compress(range(root.n), b))
+    a_side = tuple(compress(range(root.n), map(not_, b)))
+    oriented = tuple((i, j) if b[i] else (j, i) for i, j in raw_edges)
+    return BipartiteRoot(a_side, b_side, oriented, root)
 
 
 def _verify_line_graph(g: Graph, raw_edges: list[tuple[int, int]]) -> None:
@@ -180,20 +198,6 @@ def _verify_line_graph(g: Graph, raw_edges: list[tuple[int, int]]) -> None:
         x, y = min(broken)
         raise ConsistencyError(
             f"root reconstruction broke adjacency of input vertices {x}, {y}")
-
-
-def _pick_b_side(root: Graph, colors: tuple[int, ...]) -> set[int]:
-    b_side: set[int] = set()
-    parent = [-1] * root.n
-    for r in range(root.n):
-        if parent[r] >= 0:
-            continue
-        comp = set(_bfs(root.neighbors, r, parent))
-        side0 = {v for v in comp if colors[v] == 0}
-        side1 = comp - side0
-        # The component's smallest vertex has color 0, so ties pick side0.
-        b_side |= side1 if len(side1) < len(side0) else side0
-    return b_side
 
 
 def line_graph(h: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:

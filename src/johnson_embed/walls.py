@@ -143,9 +143,13 @@ def _class_passes(d: DistanceMatrix, ew: EdgeWalls) -> bool:
     diff = packed(u) - packed(v)
     inside = set(small)
     for y in small:
+        # P[y] - diff, which P[z] must equal, built at y's first crossing edge.
+        want = 0
         for z in d._neighbors[y]:
-            if z not in inside and packed(y) - packed(z) != diff:
-                return False
+            if z not in inside:
+                want = want or packed(y) - diff
+                if packed(z) != want:
+                    return False
     return True
 
 
@@ -254,16 +258,19 @@ def _scan(g: Graph):
     first gets its Θ class test; if that passes, both sides are convex and
     is_convex is not called.  The passed splits are this scan's own, so a
     second scan of the same graph builds every wall again.
+
+    Every edge of one split gets the side tuples the matrix's split memo
+    keeps (see splits), in either orientation, and the memo keeps them as
+    long as the matrix lives, so a passed split is known by the identity of
+    its sides: no tuple is hashed and no row packed again.
     """
     d = g.distances()
     verdicts: dict[tuple[int, ...], bool | ConvexityWitness] = {}
+    # id() of each side of every passed split.
     passed: set[int] = set()
-    packed = d.packed
     for u, v in _edges_in_order(g):
         ew = splits(g, (u, v))
-        # The split's memo key (see splits), which packed both ends.
-        key = abs(packed(u) - packed(v))
-        if key in passed:
+        if id(ew.w_uv) in passed:
             yield None
             continue
         if (not ew.eq_components and ew.w_uv not in verdicts
@@ -271,7 +278,8 @@ def _scan(g: Graph):
             verdicts[ew.w_uv] = verdicts[ew.w_vu] = True
         result = _walls_from_splits(d, ew, verdicts)
         if not isinstance(result, WcCertificate):
-            passed.add(key)
+            passed.add(id(ew.w_uv))
+            passed.add(id(ew.w_vu))
         yield result
 
 

@@ -21,7 +21,14 @@ from johnson_embed import (
     random_connected_graph,
 )
 from johnson_embed.atom import ThetaClasses
-from johnson_embed.graphs import _bfs
+from johnson_embed.graphs import (
+    OCTAHEDRON,
+    PYRAMID,
+    SQUARE,
+    _bfs,
+    induced_is_pattern,
+)
+from johnson_embed.matroid import ConditionReport, IcWitness, PcWitness, squares
 from johnson_embed.oracle import OracleResult
 from johnson_embed.walls import splits
 
@@ -198,3 +205,33 @@ def reference_brute_force_embed(g: Graph, m: int, n: int) -> OracleResult:
     labels = tuple(tuple(b for b in range(n) if by_vertex[v] >> b & 1)
                    for v in range(g.n))
     return OracleResult(True, m, n, labels, nodes)
+
+
+def reference_check_ic(g: Graph) -> ConditionReport:
+    """The interval condition over every vertex pair: each pair at distance 2
+    has its interval read from the two distance rows, as the interval
+    d(u, x) + d(x, v) = d(u, v) over all n vertices."""
+    d = g.distances()
+    by_size = {4: SQUARE, 5: PYRAMID, 6: OCTAHEDRON}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if d[u][v] != 2:
+                continue
+            du, dv = d[u], d[v]
+            iv = tuple(x for x in range(g.n) if du[x] + dv[x] == 2)
+            pattern = by_size.get(len(iv))
+            if pattern is None or not induced_is_pattern(g, iv, pattern):
+                return ConditionReport("IC", False, IcWitness(u, v, iv))
+    return ConditionReport("IC", True)
+
+
+def reference_check_pc(g: Graph, *, induced_only: bool = True) -> ConditionReport:
+    """The positioning condition compared vertex by vertex: the first square,
+    then the first basepoint b, with d(b, u1) + d(b, u3) != d(b, u2) + d(b, u4)."""
+    d = g.distances()
+    for sq in squares(g, induced_only=induced_only):
+        r1, r2, r3, r4 = (d[u] for u in sq)
+        for b in range(g.n):
+            if r1[b] + r3[b] != r2[b] + r4[b]:
+                return ConditionReport("PC", False, PcWitness(b, sq))
+    return ConditionReport("PC", True)

@@ -439,7 +439,7 @@ def test_valid_argvs_cover_every_subcommand():
 @pytest.mark.parametrize("name", list(VALID_ARGV))
 def test_narrowed_parser_gives_the_full_parsers_namespace(name):
     argv = VALID_ARGV[name]
-    args, extra = cli._command_parser(name, 78).parse_known_args(argv[1:])
+    args, extra = cli._command_parser(name).parse_known_args(argv[1:])
     assert extra == []
     assert args == cli._parser().parse_args(argv)
     assert args.func is getattr(cli, "cmd_" + name.replace("-", "_"))
@@ -500,7 +500,8 @@ def test_kept_parsers_follow_the_terminal_width(monkeypatch, capsys):
             for argv in _failing_argvs(name):
                 narrowed = _exit(main, argv, capsys)
                 assert narrowed == _exit(cli._parser().parse_args, argv, capsys), (columns, argv)
-    assert cli._command_parser.cache_info().currsize == 2 * len(VALID_ARGV)
+    # One kept parser per subcommand serves every width.
+    assert cli._command_parser.cache_info().currsize == len(VALID_ARGV)
 
 
 def test_kept_parser_starts_each_call_from_the_defaults(k23, capsys):

@@ -1,5 +1,8 @@
+from hypothesis import given, settings, strategies as st
+
 from johnson_embed import (
     Embedding,
+    Graph,
     WcCertificate,
     check_wc,
     complete_bipartite_graph,
@@ -12,6 +15,42 @@ from johnson_embed import (
     petersen_graph,
 )
 from johnson_embed.matroid import check_ic, check_lc, check_pc, squares
+
+from helpers import (
+    cartesian_product,
+    random_tree_plus_edges,
+    reference_check_ic,
+    reference_check_pc,
+)
+
+NAMED = [hypercube_graph(3), hypercube_graph(4), johnson_graph(2, 5), petersen_graph(),
+         cartesian_product(complete_graph(4), path_graph(2))]
+
+
+@st.composite
+def ic_pc_graphs(draw):
+    """A random connected graph on at most 12 vertices, or a named one."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(NAMED))
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    return random_tree_plus_edges(n, p, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ic_pc_graphs())
+def test_ic_and_pc_match_the_references(g):
+    assert check_ic(g) == reference_check_ic(g)
+    for induced_only in (True, False):
+        assert check_pc(g, induced_only=induced_only) == \
+            reference_check_pc(g, induced_only=induced_only)
+
+
+def test_check_ic_reads_only_row_0():
+    for g in NAMED + [cycle_graph(6), complete_bipartite_graph(2, 3)]:
+        fresh = Graph(g.n, g.edges)
+        check_ic(fresh)
+        assert len(fresh.distances()) == 1
 
 
 def test_squares_cycle4():
@@ -89,7 +128,6 @@ def test_check_lc():
     assert check_lc(cycle_graph(6)).passed
     # A wheel has cycle neighborhoods at the hub, which are not line graphs
     # of bipartite graphs once the rim is a 5-cycle.
-    from johnson_embed import Graph
     hub_edges = [(0, i) for i in range(1, 6)]
     rim_edges = [(i, i % 5 + 1) for i in range(1, 6)]
     wheel = Graph(6, hub_edges + rim_edges)

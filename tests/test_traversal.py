@@ -2,6 +2,9 @@
 
 The references are the deque-based loops that components, 2-colouring, the
 root's sides and the oracle's vertex order used before they shared _bfs.
+bipartite_root colours its root in its own walk, so its sides are checked
+against the reference colouring of the root it returns, and its odd cycle
+against the reference 2-colouring's.
 """
 
 from collections import deque
@@ -19,7 +22,7 @@ from johnson_embed.graphs import (
     induced_components,
     is_bipartite,
 )
-from johnson_embed.rootgraph import line_graph
+from johnson_embed.rootgraph import ODD_CYCLE_IN_ROOT, BipartiteRoot, line_graph
 
 
 def reference_induced_components(g, s):
@@ -160,9 +163,23 @@ def test_traversals_match_queue_references(case):
     assert induced_components(g, range(g.n)) == reference_induced_components(g, range(g.n))
     assert repr(is_bipartite(g)) == repr(reference_is_bipartite(g))
     result = bipartite_root(g)
-    with mock.patch.object(rootgraph, "is_bipartite", reference_is_bipartite), \
-            mock.patch.object(rootgraph, "_pick_b_side", reference_pick_b_side):
-        assert repr(result) == repr(bipartite_root(g))
+    if isinstance(result, BipartiteRoot):
+        root = result.root
+        b_side = reference_pick_b_side(root, reference_is_bipartite(root).colors)
+        assert result.b_side == tuple(sorted(b_side))
+        assert result.a_side == tuple(sorted(set(range(root.n)) - b_side))
+        assert all(i in b_side for i, _ in result.vertex_to_edge)
+    else:
+        # The root that bipartite_root builds, as is_bipartite receives it.
+        roots = []
+        with mock.patch.object(rootgraph, "is_bipartite",
+                               lambda h: roots.append(h) or is_bipartite(h)):
+            assert repr(bipartite_root(g)) == repr(result)
+        if result.kind == ODD_CYCLE_IN_ROOT:
+            [root] = roots
+            assert result.cycle == reference_is_bipartite(root).cycle
+        else:
+            assert roots == []
     if g.n and len(induced_components(g, range(g.n))) == 1:
         connected = Graph(g.n, g.edges)
         orders = []
